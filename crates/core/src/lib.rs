@@ -20,7 +20,6 @@
 //! `SccConfig::default()`).
 
 pub mod config;
-pub mod frontier;
 pub mod reach;
 pub mod scc;
 pub mod state;
@@ -28,7 +27,6 @@ pub mod stats;
 pub mod verify;
 
 pub use config::{ReachParams, SccConfig};
-pub use frontier::{edge_map, EdgeMapOptions, VertexSubset};
 pub use scc::{parallel_scc, parallel_scc_induced, parallel_scc_with_stats, SccResult};
 pub use state::{SccState, FINAL_TAG};
 pub use stats::{SccStats, SearchRecord};

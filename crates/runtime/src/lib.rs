@@ -38,8 +38,6 @@ pub mod reduce;
 pub mod rng;
 pub mod scan;
 pub mod sort;
-#[deprecated(note = "use `pscc_runtime::{Timer, PhaseTimer}` or `pscc_telemetry::time`")]
-pub mod timer;
 
 pub use atomic::{atomic_max_u32, atomic_max_u64, atomic_min_u32, AtomicBits};
 pub use background::Background;

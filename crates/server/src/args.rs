@@ -1,10 +1,9 @@
 //! Tiny shared command-line flag parser for the workspace's front-end
-//! binaries (`pscc-server`, `bench_server`, and the
-//! `reachability_server` example), so their hand-rolled `--flag VALUE`
-//! handling cannot drift: every flag-missing-value error renders
-//! identically, flags may appear anywhere relative to positionals, and
-//! whatever is left after the known flags are consumed is returned as
-//! the positional arguments.
+//! binaries (`pscc-server` and the `reachability_server` example), so
+//! their hand-rolled `--flag VALUE` handling cannot drift: every
+//! flag-missing-value error renders identically, flags may appear
+//! anywhere relative to positionals, and whatever is left after the
+//! known flags are consumed is returned as the positional arguments.
 //!
 //! ```
 //! use pscc_server::args::Args;

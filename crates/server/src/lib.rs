@@ -6,12 +6,15 @@
 //! built around. This crate puts a network in front of that fact
 //! without giving the win back: a hand-rolled TCP HTTP/1.1-lite server
 //! (std networking only) whose core is the [`coalesce::Lane`] admission
-//! queue — concurrent in-flight point queries from independent
+//! lane — concurrent in-flight point queries from independent
 //! connections are coalesced into engine
 //! [`QueryBatch`](pscc_engine::QueryBatch)es via the catalog's lean
-//! [`BatchSubmitter`](pscc_engine::BatchSubmitter) path, with adaptive
-//! dispatch (size target or deadline, whichever first) and explicit
-//! per-graph backpressure (bounded queue, HTTP 503 on overload).
+//! [`BatchSubmitter`](pscc_engine::BatchSubmitter) path. The lane is a
+//! leader/follower combiner with no thread of its own: a query that
+//! finds the lane idle runs as its own batch at once, queries that
+//! arrive during an engine call leave together as the next batch, and
+//! per-graph backpressure is explicit (bounded queue, HTTP 503 on
+//! overload).
 //!
 //! Layers, bottom up:
 //!
@@ -19,13 +22,10 @@
 //! |---|---|
 //! | [`args`] | shared `--flag VALUE` parser for the workspace's front-end binaries |
 //! | [`http`] | HTTP/1.1-lite request parsing and response formatting, pipelining-aware |
-//! | [`coalesce`] | the admission queue: adaptive batching, backpressure, telemetry |
+//! | [`coalesce`] | the admission lane: leader/follower batching, backpressure, telemetry |
 //! | [`server`] | TCP accept loop, run collection, routing, the delta write path |
 //!
-//! Two binaries ride along: `pscc-server` (the standalone daemon) and
-//! `bench_server` (an in-process load generator that sweeps concurrency
-//! levels against a coalescing and a direct-dispatch server and emits
-//! `BENCH_server.json` — the number that justifies this crate).
+//! One binary rides along: `pscc-server`, the standalone daemon.
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -46,4 +46,4 @@ pub mod http;
 pub mod server;
 
 pub use coalesce::{CoalesceConfig, Lane, SubmitError};
-pub use server::{start, DispatchMode, PortStats, ServerConfig, ServerHandle};
+pub use server::{start, PortStats, ServerConfig, ServerHandle};

@@ -3,8 +3,7 @@
 //! ```text
 //! pscc-server [--listen ADDR] [--name NAME]
 //!             [--data-dir DIR | --graph FILE | --rmat-scale S --rmat-edges M]
-//!             [--no-coalesce] [--batch-target N] [--deadline-us N] [--queue-cap N]
-//!             [--flight-dir DIR]
+//!             [--queue-cap N] [--flight-dir DIR]
 //! ```
 //!
 //! Graph source, first match wins: `--data-dir` recovers a persisted
@@ -16,9 +15,8 @@
 
 use pscc_engine::Catalog;
 use pscc_server::args::Args;
-use pscc_server::{start, CoalesceConfig, DispatchMode, ServerConfig};
+use pscc_server::{start, CoalesceConfig, ServerConfig};
 use std::sync::Arc;
-use std::time::Duration;
 
 fn main() {
     match run() {
@@ -38,9 +36,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let graph_file = args.value("--graph")?;
     let rmat_scale = args.parsed::<u32>("--rmat-scale", "a log2 vertex count")?.unwrap_or(15);
     let rmat_edges = args.parsed::<usize>("--rmat-edges", "an edge count")?.unwrap_or(200_000);
-    let no_coalesce = args.flag("--no-coalesce");
-    let batch_target = args.parsed::<usize>("--batch-target", "a query count")?;
-    let deadline_us = args.parsed::<u64>("--deadline-us", "microseconds")?;
     let queue_cap = args.parsed::<usize>("--queue-cap", "a query count")?;
     let flight_dir = args.path("--flight-dir")?;
     let rest = args.finish();
@@ -77,29 +72,12 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     let mut coalesce = CoalesceConfig::default();
-    if let Some(target) = batch_target {
-        coalesce.batch_target = target;
-    }
-    if let Some(us) = deadline_us {
-        coalesce.deadline = Duration::from_micros(us);
-    }
     if let Some(cap) = queue_cap {
         coalesce.queue_cap = cap;
     }
-    let mode = if no_coalesce { DispatchMode::Direct } else { DispatchMode::Coalesced(coalesce) };
-    let config = ServerConfig { listen, mode, ..ServerConfig::default() };
+    let config = ServerConfig { listen, coalesce, ..ServerConfig::default() };
     let handle = start(Arc::new(catalog), config)?;
-    println!(
-        "listening on {} ({})",
-        handle.local_addr(),
-        match mode {
-            DispatchMode::Coalesced(c) => format!(
-                "coalescing: batch_target {}, deadline {:?}, queue_cap {}",
-                c.batch_target, c.deadline, c.queue_cap
-            ),
-            DispatchMode::Direct => "direct dispatch".to_string(),
-        }
-    );
+    println!("listening on {} (queue_cap {})", handle.local_addr(), coalesce.queue_cap);
 
     // Serve until killed; the OS reclaims everything on exit.
     loop {

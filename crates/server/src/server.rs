@@ -1,10 +1,10 @@
 //! The TCP front end: accepts connections, parses HTTP/1.1-lite
-//! requests, and routes point queries through the per-graph admission
-//! queue ([`Lane`]) so concurrent connections coalesce into engine
-//! batches. Writes go through [`Catalog::apply_delta`] — the serving
-//! path and the update path share the catalog's locking model, so
-//! queries keep answering from the installed index while a delta
-//! repairs off-lock.
+//! requests, and routes every query through the per-graph admission
+//! lane ([`Lane`]) so concurrent connections coalesce into engine
+//! batches — the one path from a socket to the engine. Writes go
+//! through [`Catalog::apply_delta`] — the serving path and the update
+//! path share the catalog's locking model, so queries keep answering
+//! from the installed index while a delta repairs off-lock.
 //!
 //! ## Protocol
 //!
@@ -27,9 +27,13 @@
 //! requests before reading any response. The handler peels every
 //! complete request off its read buffer and groups **contiguous runs of
 //! single-query GETs to the same graph** into one lane submission, so a
-//! pipelined client contributes a whole run to the shared batch at the
-//! cost of one dispatcher handoff. Responses are emitted strictly in
-//! request order.
+//! pipelined client contributes a whole run to the shared batch — or,
+//! on an idle lane, runs it as its own batch on the connection's
+//! thread. Responses are emitted strictly in request order.
+//!
+//! One thread serves each connection. The acceptor reaps the handles of
+//! finished ones on every accept and publishes how many it still tracks
+//! as the `pscc_server_open_connections{addr="<listen addr>"}` gauge.
 
 use crate::coalesce::{CoalesceConfig, Lane, SubmitError};
 use crate::http::{
@@ -46,23 +50,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
-/// How queries reach the engine.
-#[derive(Debug, Clone, Copy)]
-pub enum DispatchMode {
-    /// Through the admission queue: concurrent queries coalesce into
-    /// engine batches (the point of this crate).
-    Coalesced(CoalesceConfig),
-    /// One engine dispatch per request ([`Catalog::answer_batch`] with
-    /// a single query) — the baseline the bench compares against.
-    Direct,
-}
-
 /// Server construction knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:0` (port 0 = ephemeral).
     pub listen: String,
-    pub mode: DispatchMode,
+    /// Every graph's lane is opened with this.
+    pub coalesce: CoalesceConfig,
     /// Upper bound a handler waits on a lane before answering 503 —
     /// the guarantee that overload degrades loudly instead of hanging.
     pub submit_timeout: Duration,
@@ -72,7 +66,7 @@ impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             listen: "127.0.0.1:0".to_string(),
-            mode: DispatchMode::Coalesced(CoalesceConfig::default()),
+            coalesce: CoalesceConfig::default(),
             submit_timeout: Duration::from_secs(5),
         }
     }
@@ -86,12 +80,11 @@ pub struct PortStats {
     pub overloads: u64,
 }
 
-/// One served graph: its validated vertex count plus (in coalesced
-/// mode) its lane.
+/// One served graph: its validated vertex count plus its lane.
 struct GraphPort {
     name: String,
     vertex_count: usize,
-    lane: Option<Lane>,
+    lane: Lane,
 }
 
 struct Shared {
@@ -113,10 +106,7 @@ impl Shared {
         }
         let submitter = self.catalog.submitter(graph)?;
         let vertex_count = submitter.vertex_count();
-        let lane = match self.config.mode {
-            DispatchMode::Coalesced(config) => Some(Lane::start(submitter, config).ok()?),
-            DispatchMode::Direct => None,
-        };
+        let lane = Lane::start(submitter, self.config.coalesce).ok()?;
         let port = Arc::new(GraphPort { name: graph.to_string(), vertex_count, lane });
         ports.insert(graph.to_string(), port.clone());
         Some(port)
@@ -152,6 +142,9 @@ pub fn start(catalog: Arc<Catalog>, config: ServerConfig) -> std::io::Result<Ser
         let shared = shared.clone();
         let conns = conns.clone();
         let conn_seq = AtomicU64::new(0);
+        let open_conns = pscc_telemetry::gauge(&format!(
+            "pscc_server_open_connections{{addr=\"{local_addr}\"}}"
+        ));
         std::thread::Builder::new().name("pscc-acceptor".to_string()).spawn(move || {
             for stream in listener.incoming() {
                 if shared.stop.load(Ordering::Relaxed) {
@@ -164,7 +157,12 @@ pub fn start(catalog: Arc<Catalog>, config: ServerConfig) -> std::io::Result<Ser
                     .name(format!("pscc-conn-{id}"))
                     .spawn(move || handle_connection(stream, &shared));
                 if let Ok(handle) = handle {
-                    conns.lock().expect("conns lock").push(handle);
+                    // Reap finished connections here, so short-lived
+                    // clients cannot grow the list without bound.
+                    let mut conns = conns.lock().expect("conns lock");
+                    conns.retain(|conn| !conn.is_finished());
+                    conns.push(handle);
+                    open_conns.set(conns.len() as i64);
                 }
             }
         })?
@@ -181,7 +179,7 @@ impl ServerHandle {
     /// Coalescing stats for `graph`'s port, if it has served anything.
     pub fn port_stats(&self, graph: &str) -> Option<PortStats> {
         let ports = self.shared.ports.read().expect("ports lock");
-        let lane = ports.get(graph)?.lane.as_ref()?;
+        let lane = &ports.get(graph)?.lane;
         Some(PortStats {
             batches_formed: lane.batches_formed(),
             queries_coalesced: lane.queries_coalesced(),
@@ -210,11 +208,8 @@ impl ServerHandle {
         }
         let ports = std::mem::take(&mut *self.shared.ports.write().expect("ports lock"));
         for port in ports.values() {
-            if let Some(lane) = &port.lane {
-                lane.shutdown();
-            }
+            port.lane.shutdown();
         }
-        drop(ports); // joins lane dispatchers
         if recorder::is_active() {
             recorder::record(
                 FlightEvent::new("server_stop").field("addr", self.local_addr.to_string()),
@@ -230,7 +225,7 @@ impl Drop for ServerHandle {
 }
 
 /// A contiguous run of single-query GETs to one graph, dispatched as
-/// one lane submission (or, in direct mode, one engine call per query).
+/// one lane submission.
 struct Run {
     port: Arc<GraphPort>,
     queries: Vec<(V, V)>,
@@ -373,44 +368,34 @@ fn push_point_query(
     }
 }
 
-/// Dispatches an open run: one lane submission in coalesced mode, one
-/// engine call per query in direct mode. Appends one response per query
-/// in order.
+/// Dispatches an open run as one lane submission. Appends one response
+/// per query in order.
 fn flush_run(run: &mut Option<Run>, shared: &Shared, out: &mut Vec<u8>) {
     let Some(run) = run.take() else { return };
-    if run.queries.is_empty() {
-        return;
-    }
-    match &run.port.lane {
-        Some(lane) => match lane.submit_wait(&run.queries, shared.config.submit_timeout) {
-            Ok(answers) => {
-                for answer in answers {
-                    out.extend_from_slice(if answer { RESP_TRUE } else { RESP_FALSE });
-                }
+    match run.port.lane.submit_wait(&run.queries, shared.config.submit_timeout) {
+        Ok(answers) => {
+            for answer in answers {
+                out.extend_from_slice(if answer { RESP_TRUE } else { RESP_FALSE });
             }
-            Err(err) => {
-                let (status, reason, body): (u16, &str, &[u8]) = match err {
-                    SubmitError::Overloaded => (503, "Service Unavailable", b"overloaded\n"),
-                    SubmitError::Timeout => (503, "Service Unavailable", b"timed out\n"),
-                    SubmitError::ShuttingDown => (503, "Service Unavailable", b"shutting down\n"),
-                };
-                for _ in &run.queries {
-                    write_response(out, status, reason, body);
-                }
-            }
-        },
-        None => {
-            // Direct mode: the honest one-dispatch-per-request baseline.
-            for &query in &run.queries {
-                match shared.catalog.answer_batch(&run.port.name, &[query]) {
-                    Some(answers) => {
-                        out.extend_from_slice(if answers[0] { RESP_TRUE } else { RESP_FALSE })
-                    }
-                    None => write_response(out, 404, "Not Found", b"unknown graph\n"),
-                }
+        }
+        Err(err) => {
+            for _ in &run.queries {
+                write_submit_error(out, err);
             }
         }
     }
+}
+
+/// The lane refused or lost a group: backpressure and shutdown are 503s
+/// (retry later), a batch whose engine call died is a 500.
+fn write_submit_error(out: &mut Vec<u8>, err: SubmitError) {
+    let (status, reason, body): (u16, &str, &[u8]) = match err {
+        SubmitError::Overloaded => (503, "Service Unavailable", b"overloaded\n"),
+        SubmitError::Timeout => (503, "Service Unavailable", b"timed out\n"),
+        SubmitError::ShuttingDown => (503, "Service Unavailable", b"shutting down\n"),
+        SubmitError::Failed => (500, "Internal Server Error", b"batch failed\n"),
+    };
+    write_response(out, status, reason, body);
 }
 
 /// Routing decision for one request.
@@ -510,18 +495,9 @@ fn respond_batch_query(graph: &str, request: &Request<'_>, shared: &Shared, out:
             }
         }
     }
-    let answers = match &port.lane {
-        Some(lane) => match lane.submit_wait(&queries, shared.config.submit_timeout) {
-            Ok(answers) => answers,
-            Err(SubmitError::Overloaded) => {
-                return write_response(out, 503, "Service Unavailable", b"overloaded\n")
-            }
-            Err(_) => return write_response(out, 503, "Service Unavailable", b"unavailable\n"),
-        },
-        None => match shared.catalog.answer_batch(&port.name, &queries) {
-            Some(answers) => answers,
-            None => return write_response(out, 404, "Not Found", b"unknown graph\n"),
-        },
+    let answers = match port.lane.submit_wait(&queries, shared.config.submit_timeout) {
+        Ok(answers) => answers,
+        Err(err) => return write_submit_error(out, err),
     };
     let mut body: Vec<u8> = answers.iter().map(|&b| if b { b'1' } else { b'0' }).collect();
     body.push(b'\n');
@@ -580,24 +556,16 @@ fn stats_json(shared: &Shared) -> String {
     let ports = shared.ports.read().expect("ports lock");
     let mut graphs: Vec<String> = Vec::new();
     for (name, port) in ports.iter() {
-        let (batches, queries, overloads) = match &port.lane {
-            Some(lane) => (lane.batches_formed(), lane.queries_coalesced(), lane.overloads()),
-            None => (0, 0, 0),
-        };
         graphs.push(format!(
             "\"{}\":{{\"vertex_count\":{},\"batches_formed\":{},\
              \"queries_coalesced\":{},\"overloads\":{}}}",
             pscc_telemetry::escape_label_value(name),
             port.vertex_count,
-            batches,
-            queries,
-            overloads,
+            port.lane.batches_formed(),
+            port.lane.queries_coalesced(),
+            port.lane.overloads(),
         ));
     }
     graphs.sort();
-    let mode = match shared.config.mode {
-        DispatchMode::Coalesced(_) => "coalesced",
-        DispatchMode::Direct => "direct",
-    };
-    format!("{{\"mode\":\"{mode}\",\"graphs\":{{{}}}}}\n", graphs.join(","))
+    format!("{{\"graphs\":{{{}}}}}\n", graphs.join(","))
 }

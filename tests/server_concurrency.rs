@@ -5,18 +5,18 @@
 //! deltas (edges between already-reachable pairs — the engine absorbs
 //! them) so the oracle stays valid while queries race the writes; a
 //! structural delta is then applied in a sequential phase and the
-//! changed answers re-verified. A separate test drives a deliberately
-//! tiny admission queue past capacity and asserts backpressure arrives
-//! as explicit 503s, never as a hang.
+//! changed answers re-verified. Separate tests send runs longer than a
+//! deliberately tiny admission queue and assert backpressure arrives as
+//! explicit 503s, never as a hang; check that a lone query waits for
+//! nobody; and check that short-lived connections are reaped.
 
 use parallel_scc::engine::Catalog;
 use parallel_scc::graph::{DiGraph, V};
 use parallel_scc::runtime::SplitMix64;
-use parallel_scc::server::{start, CoalesceConfig, DispatchMode, ServerConfig};
+use parallel_scc::server::{start, CoalesceConfig, ServerConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
 
 const N: usize = 512;
 const EDGES: usize = 1200;
@@ -127,15 +127,7 @@ fn concurrent_queries_and_deltas_match_bfs_oracle() {
     let (g, adj) = test_graph(0xc0c0a);
     let catalog = Catalog::new();
     catalog.insert("conc", g);
-    // A small batch target so grouping is observable even if the 1-CPU
-    // scheduler serializes the clients.
-    let config = ServerConfig {
-        mode: DispatchMode::Coalesced(CoalesceConfig {
-            batch_target: 32,
-            ..CoalesceConfig::default()
-        }),
-        ..ServerConfig::default()
-    };
+    let config = ServerConfig::default();
     let handle = start(Arc::new(catalog), config).expect("server starts");
     let addr = handle.local_addr();
 
@@ -247,23 +239,18 @@ fn overload_returns_503_instead_of_hanging() {
     let (g, adj) = test_graph(0xbad);
     let catalog = Catalog::new();
     catalog.insert("backpressure", g);
-    // A queue that cannot hold even one client's window, with a batch
-    // target and deadline high enough that the dispatcher sits on what
-    // it has — admission control must shed the rest as 503s.
-    let config = ServerConfig {
-        mode: DispatchMode::Coalesced(CoalesceConfig {
-            batch_target: 1000,
-            deadline: Duration::from_millis(200),
-            queue_cap: 4,
-        }),
-        ..ServerConfig::default()
-    };
+    // A queue of four: a pipelined run of eight can never be admitted,
+    // whoever else is in flight, and must be shed as 503s at once; a run
+    // of two fits unless enough other clients are already queued.
+    let config =
+        ServerConfig { coalesce: CoalesceConfig { queue_cap: 4 }, ..ServerConfig::default() };
     let handle = start(Arc::new(catalog), config).expect("server starts");
     let addr = handle.local_addr();
 
     const CLIENTS: usize = 12;
     const WINDOWS: usize = 6;
-    const WINDOW: usize = 2;
+    const LONG: usize = 8;
+    const SHORT: usize = 2;
     let (oks, overloads) = std::thread::scope(|scope| {
         let mut workers = Vec::new();
         for t in 0..CLIENTS {
@@ -273,12 +260,14 @@ fn overload_returns_503_instead_of_hanging() {
                 let mut rng = SplitMix64::new(0xd05 + t as u64);
                 let mut buf = Vec::new();
                 let (mut oks, mut overloads) = (0usize, 0usize);
-                for _ in 0..WINDOWS {
-                    let queries: Vec<(usize, usize)> = (0..WINDOW)
+                for w in 0..WINDOWS {
+                    let window = if w % 2 == 0 { LONG } else { SHORT };
+                    let queries: Vec<(usize, usize)> = (0..window)
                         .map(|_| {
                             (rng.next_below(N as u64) as usize, rng.next_below(N as u64) as usize)
                         })
                         .collect();
+                    // One write, so the server reads the window as one run.
                     let mut out = Vec::new();
                     for &(u, v) in &queries {
                         out.extend_from_slice(
@@ -312,18 +301,22 @@ fn overload_returns_503_instead_of_hanging() {
             .fold((0, 0), |(a, b), (c, d)| (a + c, b + d))
     });
 
-    assert_eq!(oks + overloads, CLIENTS * WINDOWS * WINDOW, "every request got a response");
-    assert!(overloads > 0, "a 4-slot queue under {CLIENTS} clients must shed load");
+    assert_eq!(
+        oks + overloads,
+        CLIENTS * WINDOWS / 2 * (LONG + SHORT),
+        "every request got a response"
+    );
+    assert!(overloads > 0, "runs of {LONG} against a 4-slot queue must be shed");
     assert!(oks > 0, "admission control must still serve in-capacity windows");
-    // The server counts rejected *submissions* (one per shed window, up
-    // to WINDOW queries each); the clients count per-query 503s.
+    // The server counts rejected *submissions* (one per shed run, up to
+    // LONG queries each); the clients count per-query 503s.
     let stats = handle.port_stats("backpressure").expect("lane exists");
     assert!(
         stats.overloads > 0
             && stats.overloads <= overloads as u64
-            && overloads as u64 <= stats.overloads * WINDOW as u64,
+            && overloads as u64 <= stats.overloads * LONG as u64,
         "server-side overload counter must agree with the {} client 503s \
-         (counted {} shed submissions of up to {WINDOW} queries)",
+         (counted {} shed submissions of up to {LONG} queries)",
         overloads,
         stats.overloads
     );
@@ -331,30 +324,57 @@ fn overload_returns_503_instead_of_hanging() {
 }
 
 #[test]
-fn direct_mode_serves_correct_answers() {
-    let (g, adj) = test_graph(0xd12ec7);
+fn lone_queries_wait_for_nobody() {
+    let (g, adj) = test_graph(0x10e);
     let catalog = Catalog::new();
-    catalog.insert("direct", g);
-    let config = ServerConfig { mode: DispatchMode::Direct, ..ServerConfig::default() };
-    let handle = start(Arc::new(catalog), config).expect("server starts");
-    let addr = handle.local_addr();
+    catalog.insert("lone", g);
+    let handle = start(Arc::new(catalog), ServerConfig::default()).expect("server starts");
+    let mut stream = TcpStream::connect(handle.local_addr()).expect("connectable");
 
-    std::thread::scope(|scope| {
-        for t in 0..4usize {
-            let adj = &adj;
-            scope.spawn(move || {
-                let mut stream = TcpStream::connect(addr).expect("connectable");
-                let mut rng = SplitMix64::new(0xd1 + t as u64);
-                let queries: Vec<(usize, usize)> = (0..96)
-                    .map(|_| (rng.next_below(N as u64) as usize, rng.next_below(N as u64) as usize))
-                    .collect();
-                let answers = query_window(&mut stream, "direct", &queries);
-                for (&(u, v), got) in queries.iter().zip(answers) {
-                    assert_eq!(got, bfs_reaches(adj, u, v), "query ({u}, {v})");
-                }
-            });
-        }
+    // Un-pipelined GETs, one at a time: each finds the lane idle and must
+    // be dispatched as its own batch, not held back for company.
+    const QUERIES: usize = 40;
+    let mut rng = SplitMix64::new(0x501e);
+    for _ in 0..QUERIES {
+        let (u, v) = (rng.next_below(N as u64) as usize, rng.next_below(N as u64) as usize);
+        assert_eq!(query_window(&mut stream, "lone", &[(u, v)])[0], bfs_reaches(&adj, u, v));
+    }
+    stream.write_all(b"GET /stats HTTP/1.1\r\n\r\n").expect("writable request");
+    let (status, body) = read_response(&mut stream, &mut Vec::new());
+    assert_eq!(status, 200);
+    let stats = String::from_utf8(body).expect("UTF-8 stats");
+    assert!(
+        stats.contains(&format!("\"batches_formed\":{QUERIES},\"queries_coalesced\":{QUERIES},")),
+        "{QUERIES} sequential queries must be {QUERIES} batches: {stats}"
+    );
+    handle.shutdown();
+}
+
+#[test]
+fn finished_connections_are_reaped() {
+    let (g, _) = test_graph(0x2ea9);
+    let catalog = Catalog::new();
+    catalog.insert("reap", g);
+    let handle = start(Arc::new(catalog), ServerConfig::default()).expect("server starts");
+    let addr = handle.local_addr();
+    let tracked =
+        parallel_scc::telemetry::gauge(&format!("pscc_server_open_connections{{addr=\"{addr}\"}}"));
+
+    let connect_and_ask = || {
+        let mut stream = TcpStream::connect(addr).expect("connectable");
+        stream.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").expect("writable request");
+        assert_eq!(read_response(&mut stream, &mut Vec::new()).0, 200);
+    };
+    for _ in 0..300 {
+        connect_and_ask();
+    }
+    // Each accept reaps the connections that have finished by then, so
+    // what the server still tracks is the last few, not all 300. Their
+    // threads exit on their own schedule: keep knocking until they have.
+    let settled = (0..300).any(|_| {
+        connect_and_ask();
+        (1..=4).contains(&tracked.get())
     });
-    assert!(handle.port_stats("direct").is_none(), "direct mode has no lane to report");
+    assert!(settled, "server still tracks {} connection handles", tracked.get());
     handle.shutdown();
 }
