@@ -16,6 +16,19 @@
 //! the chunk's load factor passes α and triggers the advance. `extract_all`
 //! and `for_all` touch only the used prefix, so their cost is proportional
 //! to the number of elements plus λ (Theorem 3.1).
+//!
+//! ## Ownership and sharing
+//!
+//! The array is allocated (and first touched, in parallel) once and then
+//! reused: `extract_all` leaves the bag empty at a cost of the prefix it
+//! used, so a bag belongs to a whole *run* — one SCC computation, one
+//! LE-lists computation — not to one search or one round of it.
+//! [`HashBag::reserve`] re-allocates only when the run outgrows it. Slots
+//! are `AtomicU64` whatever `T` is, so a `HashBag<u64>` also serves a
+//! frontier of vertex ids ([`HashBag::extract_map`] narrows them on the
+//! way out). Between workers, `insert` shares the slots, the chunk cursor
+//! (read-mostly) and the sample counters (touched once per `α·chunk∕σ`
+//! inserts) — nothing is written per element except the element's slot.
 
 pub mod config;
 pub mod item;
@@ -25,7 +38,7 @@ pub use item::BagItem;
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use pscc_runtime::{hash64, pack_map, par_range};
+use pscc_runtime::{hash64, pack_map, par_range, tabulate};
 
 /// The parallel hash bag. See the crate docs for the design.
 pub struct HashBag<T: BagItem> {
@@ -42,6 +55,8 @@ pub struct HashBag<T: BagItem> {
     denoms: Box<[u64]>,
     /// A salt decorrelating slot choice and sampling across bags.
     salt: u64,
+    /// The `max_elems` this bag was sized for.
+    max_elems: usize,
     cfg: BagConfig,
     _marker: std::marker::PhantomData<T>,
 }
@@ -68,7 +83,7 @@ impl<T: BagItem> HashBag<T> {
             size *= 2;
         }
         let nchunks = tails.len();
-        let slots: Box<[AtomicU64]> = (0..total).map(|_| AtomicU64::new(T::EMPTY_BITS)).collect();
+        let slots = tabulate(total, |_| AtomicU64::new(T::EMPTY_BITS)).into_boxed_slice();
         let samples: Box<[AtomicUsize]> = (0..nchunks).map(|_| AtomicUsize::new(0)).collect();
         let mut denoms = Vec::with_capacity(nchunks);
         let mut start = 0usize;
@@ -85,8 +100,18 @@ impl<T: BagItem> HashBag<T> {
             cur: AtomicUsize::new(0),
             denoms: denoms.into_boxed_slice(),
             salt: hash64(max_elems as u64 ^ 0xba6),
+            max_elems,
             cfg,
             _marker: std::marker::PhantomData,
+        }
+    }
+
+    /// Makes room for `max_elems` elements, keeping the allocation when it
+    /// is already large enough. The bag must be empty.
+    pub fn reserve(&mut self, max_elems: usize) {
+        debug_assert!(self.is_empty_slow(), "reserve on a non-empty bag");
+        if max_elems > self.max_elems {
+            *self = Self::with_config(max_elems, self.cfg);
         }
     }
 
@@ -127,7 +152,10 @@ impl<T: BagItem> HashBag<T> {
 
     /// Inserts `x`. Concurrent-safe. The caller must guarantee `x` is not
     /// already in the bag (deduplicate with a visited-flag CAS first) and
-    /// that the total number of elements stays within `max_elems`.
+    /// that the total number of elements stays within `max_elems`. (Past
+    /// `max_elems` inserts get slower, not wrong: the last chunk's probe
+    /// wraps over the whole array, so one terminates as long as fewer than
+    /// [`HashBag::capacity`] elements are stored.)
     pub fn insert(&self, x: T) {
         debug_assert!(x.to_bits() != T::EMPTY_BITS, "cannot insert the sentinel");
         let bits = x.to_bits();
@@ -161,7 +189,10 @@ impl<T: BagItem> HashBag<T> {
                 }
                 i += 1;
                 if i == end {
-                    i = start;
+                    // The last chunk wraps to slot 0, not to its own start:
+                    // an overfull round spills into the earlier chunks'
+                    // free slots (the used prefix covers them all).
+                    i = if r + 1 < self.tails.len() { start } else { 0 };
                 }
                 probes += 1;
                 if probes > self.cfg.kappa {
@@ -185,10 +216,20 @@ impl<T: BagItem> HashBag<T> {
     /// Packs all elements into a vector and empties the bag
     /// (Alg. 3 line 11). Not concurrent with `insert`.
     pub fn extract_all(&self) -> Vec<T> {
+        self.extract_map(|x| x)
+    }
+
+    /// [`HashBag::extract_all`] with `f` applied to every element on the
+    /// way out.
+    pub fn extract_map<U, F>(&self, f: F) -> Vec<U>
+    where
+        U: Copy + Send + Sync,
+        F: Fn(T) -> U + Sync,
+    {
         let used = self.used_prefix();
         let out = pack_map(&self.slots[..used], |slot| {
             let bits = slot.load(Ordering::Acquire);
-            (bits != T::EMPTY_BITS).then(|| T::from_bits(bits))
+            (bits != T::EMPTY_BITS).then(|| f(T::from_bits(bits)))
         });
         // Reset used prefix and counters.
         par_range(0..used, 4096, &|range| {
@@ -281,6 +322,57 @@ mod tests {
             assert_eq!(got.len(), 10_000, "round {round}");
             assert!(got.iter().all(|&x| x >= lo && x < lo + 10_000));
         }
+    }
+
+    #[test]
+    fn a_thousand_cycles_on_one_bag_leak_nothing() {
+        // The reuse contract a run-wide bag leans on: every cycle returns
+        // exactly what went in and leaves the bag as new.
+        let lambda = BagConfig::default().lambda;
+        let bag: HashBag<u64> = HashBag::new(3 * lambda);
+        pscc_runtime::with_threads(4, || {
+            for cycle in 0..1000usize {
+                let size = cycle * 3 * lambda / 999;
+                let base = (cycle as u64) << 32;
+                par_for(size, |i| bag.insert(base | i as u64));
+                let mut got = bag.extract_all();
+                got.sort_unstable();
+                assert!(
+                    got.iter().copied().eq((0..size as u64).map(|i| base | i)),
+                    "cycle {cycle}"
+                );
+                assert_eq!(bag.current_chunk(), 0, "cycle {cycle}");
+                assert_eq!(bag.len_slow(), 0, "stale slot after cycle {cycle}");
+            }
+        });
+    }
+
+    #[test]
+    fn overfull_bag_spills_into_earlier_chunks() {
+        // Past max_elems the last chunk wraps over the whole array: every
+        // slot but one can be filled, and everything comes back out.
+        let cfg = BagConfig { lambda: 8, ..BagConfig::default() };
+        let bag: HashBag<u32> = HashBag::with_config(100, cfg);
+        let n = bag.capacity() - 1;
+        assert!(n > 2 * 100);
+        par_for(n, |i| bag.insert(i as u32));
+        let mut got = bag.extract_all();
+        got.sort_unstable();
+        assert!(got.iter().copied().eq(0..n as u32));
+        assert_eq!(bag.len_slow(), 0);
+    }
+
+    #[test]
+    fn reserve_keeps_a_large_enough_allocation() {
+        let mut bag: HashBag<u64> = HashBag::new(10_000);
+        let capacity = bag.capacity();
+        bag.reserve(5_000);
+        bag.reserve(10_000);
+        assert_eq!(bag.capacity(), capacity);
+        bag.reserve(10_001);
+        assert!(bag.capacity() as f64 >= 10_001.0 / bag.config().alpha);
+        bag.insert(7);
+        assert_eq!(bag.extract_map(|x| x as u32), vec![7u32]);
     }
 
     #[test]

@@ -277,9 +277,12 @@ fn multi_reach_revisit(
 
     let overflow: Mutex<Vec<u64>> = Mutex::new(Vec::new());
     let mut rounds = 0usize;
+    // The table keeps no count; without VGC every pair it holds went
+    // through a frontier, so the frontier sizes add up to it.
+    let mut pairs = frontier.len();
     while !frontier.is_empty() {
         rounds += 1;
-        if table.len() * 2 >= table.slot_count() {
+        if pairs * 2 >= table.slot_count() {
             let t = Timer::start();
             table.grow();
             resize += t.seconds();
@@ -328,6 +331,7 @@ fn multi_reach_revisit(
                 }
             }
         }
+        pairs += next.len();
         frontier = next;
     }
     (rounds, resize)

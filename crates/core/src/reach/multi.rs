@@ -6,13 +6,23 @@
 //! via the hash bag (or a VGC local queue first). Dense mode is not
 //! applicable here (§4.2): finding one in-neighbor in the frontier says
 //! nothing about the *other* sources that may reach a vertex.
+//!
+//! ## What a search shares, and what it owns
+//!
+//! Between the workers of a round: the table's slots and the bag's slots —
+//! nothing else. The VGC queue, the list of pairs a full table refused and
+//! the `pairs_added` / `edges_scanned` tallies are per-worker state
+//! ([`par_range_with`]), summed up once per round. A search owns none of
+//! its memory: table and bag belong to the run that calls it (the SCC
+//! driver's workspace) and are re-sized only when a table outgrows them,
+//! so a search costs time proportional to the pairs it finds.
+//! [`multi_reach`] is the stand-alone entry that brings a bag of its own.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use pscc_bag::HashBag;
 use pscc_graph::{DiGraph, V};
-use pscc_runtime::{par_range, Timer};
+use pscc_runtime::{par_range_with, Timer};
 use pscc_table::{pack_pair, pair_source, pair_vertex, Insert, PairTable};
 
 use crate::config::ReachParams;
@@ -27,8 +37,54 @@ pub struct MultiReachOutcome {
     /// Seconds spent growing/rehashing the pair table (the Fig. 9
     /// "hash table resizing" category).
     pub resize_seconds: f64,
-    /// Edge inspections performed.
+    /// Edge inspections performed: every pair found is expanded once, so
+    /// this is the sum of their vertices' degrees.
     pub edges_scanned: u64,
+}
+
+/// What one worker counts and collects during a round.
+#[derive(Default)]
+struct Tally {
+    /// Pairs this worker added to the table.
+    added: usize,
+    /// Edge inspections.
+    scanned: u64,
+    /// Pairs whose insert hit the table's probe limit; retried after the
+    /// round, once the table has grown.
+    refused: Vec<u64>,
+}
+
+impl Tally {
+    /// Inserts `key` into `table`; true if this call added it.
+    #[inline]
+    fn add(&mut self, table: &PairTable, key: u64) -> bool {
+        match table.insert(key) {
+            Insert::Added => {
+                self.added += 1;
+                true
+            }
+            Insert::Present => false,
+            Insert::Full => {
+                self.refused.push(key);
+                false
+            }
+        }
+    }
+
+    fn absorb(&mut self, mut other: Tally) {
+        self.added += other.added;
+        self.scanned += other.scanned;
+        self.refused.append(&mut other.refused);
+    }
+}
+
+/// Grows `table`, makes sure `bag` (empty) can take a round's worth of its
+/// pairs, and charges the time to `out.resize_seconds`.
+fn grow(table: &mut PairTable, bag: &mut HashBag<u64>, out: &mut MultiReachOutcome) {
+    let t = Timer::start();
+    table.grow();
+    bag.reserve(table.slot_count() / 2);
+    out.resize_seconds += t.seconds();
 }
 
 /// Runs a multi-reachability search from `sources` following out-edges if
@@ -43,12 +99,24 @@ pub fn multi_reach(
     params: &ReachParams,
     table: &mut PairTable,
 ) -> MultiReachOutcome {
+    let mut bag = HashBag::with_config(table.slot_count() / 2, params.bag);
+    multi_reach_in(g, sources, forward, labels, params, table, &mut bag)
+}
+
+/// [`multi_reach`] with the frontier kept in the caller's `bag` (empty on
+/// entry and on return; re-allocated only if `table` outgrows it).
+pub(crate) fn multi_reach_in(
+    g: &DiGraph,
+    sources: &[V],
+    forward: bool,
+    labels: &[AtomicU64],
+    params: &ReachParams,
+    table: &mut PairTable,
+    bag: &mut HashBag<u64>,
+) -> MultiReachOutcome {
     let mut out = MultiReachOutcome::default();
-    if sources.is_empty() {
-        return out;
-    }
     let csr = g.csr_dir(forward);
-    let edges = AtomicU64::new(0);
+    bag.reserve(table.slot_count() / 2);
 
     // Seed (s, s) for every source.
     let mut frontier: Vec<u64> = Vec::with_capacity(sources.len());
@@ -61,41 +129,29 @@ pub fn multi_reach(
                     break;
                 }
                 Insert::Present => break,
-                Insert::Full => {
-                    let t = Timer::start();
-                    table.grow();
-                    out.resize_seconds += t.seconds();
-                }
+                Insert::Full => grow(table, bag, &mut out),
             }
         }
     }
-
-    let mut bag: HashBag<u64> = HashBag::with_config(table.slot_count(), params.bag);
-    let overflow: Mutex<Vec<u64>> = Mutex::new(Vec::new());
+    out.pairs_added = frontier.len();
 
     while !frontier.is_empty() {
         out.rounds += 1;
 
         // Proactive growth keeps the load factor reasonable so Full events
         // (which force a mid-search rebuild) stay rare.
-        if table.len() * 2 >= table.slot_count() {
-            let t = Timer::start();
-            table.grow();
-            out.resize_seconds += t.seconds();
-            bag = HashBag::with_config(table.slot_count(), params.bag);
+        if out.pairs_added * 2 >= table.slot_count() {
+            grow(table, bag, &mut out);
         }
 
+        let mut round = Tally::default();
         {
             // Sharing &PairTable across tasks is safe: insert/contains are
             // phase-concurrent.
-            let table = &*table;
-            let bag_ref = &bag;
-            let overflow = &overflow;
+            let (table, bag) = (&*table, &*bag);
             let tau = params.effective_tau(frontier.len());
-            par_range(0..frontier.len(), 1, &|r| {
-                let mut queue: Vec<u64> = Vec::with_capacity(tau.min(1 << 14));
-                let mut spill: Vec<u64> = Vec::new();
-                let mut scanned = 0u64;
+            let init = || (Vec::<u64>::with_capacity(tau.min(1 << 14)), Tally::default());
+            let workers = par_range_with(0..frontier.len(), 1, &init, &|(queue, tally), r| {
                 for i in r {
                     let pair = frontier[i];
                     let (x0, s) = (pair_vertex(pair), pair_source(pair));
@@ -112,19 +168,14 @@ pub fn multi_reach(
                             head += 1;
                             for &u in csr.neighbors(x) {
                                 t += 1;
-                                scanned += 1;
                                 if labels[u as usize].load(Ordering::Relaxed) == lx {
                                     let key = pack_pair(u, s);
-                                    match table.insert(key) {
-                                        Insert::Added => {
-                                            if queue.len() < tau {
-                                                queue.push(key);
-                                            } else {
-                                                bag_ref.insert(key);
-                                            }
+                                    if tally.add(table, key) {
+                                        if queue.len() < tau {
+                                            queue.push(key);
+                                        } else {
+                                            bag.insert(key);
                                         }
-                                        Insert::Present => {}
-                                        Insert::Full => spill.push(key),
                                     }
                                 }
                             }
@@ -132,61 +183,57 @@ pub fn multi_reach(
                                 break;
                             }
                         }
+                        tally.scanned += t as u64;
                         for &key in &queue[head..] {
-                            bag_ref.insert(key);
+                            bag.insert(key);
                         }
                     } else {
-                        // Standard scan, nested-parallel for heavy vertices.
-                        scanned += deg as u64;
+                        // Standard scan; parallel over a heavy vertex's
+                        // neighbours when this round has a single task.
+                        tally.scanned += deg as u64;
                         let ns = csr.neighbors(x0);
-                        par_range(0..ns.len(), 2048, &|rr| {
+                        let scan = |inner: &mut Tally, rr: std::ops::Range<usize>| {
                             for &u in &ns[rr] {
                                 if labels[u as usize].load(Ordering::Relaxed) == lx {
                                     let key = pack_pair(u, s);
-                                    match table.insert(key) {
-                                        Insert::Added => bag_ref.insert(key),
-                                        Insert::Present => {}
-                                        Insert::Full => {
-                                            overflow.lock().expect("overflow lock").push(key)
-                                        }
+                                    if inner.add(table, key) {
+                                        bag.insert(key);
                                     }
                                 }
                             }
-                        });
+                        };
+                        for inner in par_range_with(0..ns.len(), 2048, &Tally::default, &scan) {
+                            tally.absorb(inner);
+                        }
                     }
                 }
-                if !spill.is_empty() {
-                    overflow.lock().expect("overflow lock").append(&mut spill);
-                }
-                edges.fetch_add(scanned, Ordering::Relaxed);
             });
+            for (_, tally) in workers {
+                round.absorb(tally);
+            }
         }
+        out.pairs_added += round.added;
+        out.edges_scanned += round.scanned;
 
         let mut next = bag.extract_all();
-        // Resolve overflowed inserts: grow, retry, and splice the winners
+        // Resolve refused inserts: grow, retry, and splice the winners
         // into the next frontier. Loops until the table absorbs everything.
-        loop {
-            let pending = std::mem::take(&mut *overflow.lock().expect("overflow lock"));
-            if pending.is_empty() {
-                break;
-            }
-            let t = Timer::start();
-            table.grow();
-            out.resize_seconds += t.seconds();
-            bag = HashBag::with_config(table.slot_count(), params.bag);
-            for key in pending {
-                match table.insert(key) {
-                    Insert::Added => next.push(key),
-                    Insert::Present => {}
-                    Insert::Full => overflow.lock().expect("overflow lock").push(key),
+        let from_bag = next.len();
+        let mut refused = round.refused;
+        while !refused.is_empty() {
+            grow(table, bag, &mut out);
+            refused.retain(|&key| match table.insert(key) {
+                Insert::Added => {
+                    next.push(key);
+                    false
                 }
-            }
+                Insert::Present => false,
+                Insert::Full => true,
+            });
         }
+        out.pairs_added += next.len() - from_bag;
         frontier = next;
     }
-
-    out.pairs_added = table.len();
-    out.edges_scanned = edges.load(Ordering::Relaxed);
     out
 }
 
@@ -298,6 +345,58 @@ mod tests {
         assert_eq!(got, seq_pairs(&g, &sources, true));
         assert!(outcome.resize_seconds >= 0.0);
         assert_eq!(outcome.pairs_added, got.len());
+    }
+
+    #[test]
+    fn tallies_are_exact_at_width_one() {
+        // Every pair found is added once and expanded once, so the
+        // per-worker tallies must add up to the oracle's pair count and to
+        // the degree sum over those pairs — also when a one-slot-short
+        // table refuses inserts and the search has to grow and retry.
+        for seed in 0..4u64 {
+            let g = gnm_digraph(200, 700, seed);
+            let sources: Vec<V> = vec![0, 7, 42, 99];
+            for forward in [true, false] {
+                let want = seq_pairs(&g, &sources, forward);
+                let degrees: u64 =
+                    want.iter().map(|&(v, _)| g.neighbors_dir(v, forward).len() as u64).sum();
+                for (vgc, capacity) in [(true, 1024), (false, 1024), (true, 1)] {
+                    let params = ReachParams { vgc, ..ReachParams::default() };
+                    let labels = fresh_labels(g.n());
+                    let mut table = PairTable::with_capacity(capacity);
+                    let outcome = pscc_runtime::with_threads(1, || {
+                        multi_reach(&g, &sources, forward, &labels, &params, &mut table)
+                    });
+                    let case = format!("seed={seed} forward={forward} vgc={vgc} cap={capacity}");
+                    assert_eq!(outcome.pairs_added, want.len(), "{case}");
+                    assert_eq!(table.len(), want.len(), "{case}");
+                    assert_eq!(outcome.edges_scanned, degrees, "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn refused_inserts_are_retried_and_counted() {
+        // One round offers a 16-slot table far more pairs than it has
+        // slots, so most inserts are refused (pigeonhole) and must come
+        // back through grow-and-retry: a star scanned by the heavy-vertex
+        // path, and a fan-out-40 tree explored by VGC local search.
+        let star: Vec<(V, V)> = (1..5001).map(|v| (0, v)).collect();
+        let tree: Vec<(V, V)> = (1..1641).map(|v| ((v - 1) / 40, v)).collect();
+        for (n, edges) in [(5001, star), (1641, tree)] {
+            let g = DiGraph::from_edges(n, &edges);
+            for width in [1, 4] {
+                let labels = fresh_labels(n);
+                let mut table = PairTable::with_capacity(1);
+                let outcome = pscc_runtime::with_threads(width, || {
+                    multi_reach(&g, &[0], true, &labels, &ReachParams::default(), &mut table)
+                });
+                assert_eq!(outcome.pairs_added, n, "n={n} width={width}");
+                assert_eq!(table.len(), n, "n={n} width={width}");
+                assert_eq!(outcome.edges_scanned, g.m() as u64, "n={n} width={width}");
+            }
+        }
     }
 
     #[test]

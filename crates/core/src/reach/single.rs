@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use pscc_bag::HashBag;
 use pscc_graph::{DiGraph, V};
-use pscc_runtime::{pack_index, par_range, AtomicBits};
+use pscc_runtime::{pack_index, par_range, par_range_with, AtomicBits};
 
 use crate::config::ReachParams;
 
@@ -31,6 +31,47 @@ pub struct SingleReachOutcome {
 /// hash bag (the bag's per-round extract cost dominates tiny rounds).
 const SEQ_FRONTIER: usize = 64;
 
+/// VGC local search from frontier vertex `v` (§3.2): a sequential multi-hop
+/// exploration of the vertices labelled like `v`, bounded by `tau` neighbour
+/// visits. Newly visited vertices queue up in `queue`; whatever the search
+/// has no room or no budget left for goes to `emit` — the next frontier.
+/// Returns the number of neighbour visits.
+fn local_search(
+    csr: &pscc_graph::Csr,
+    labels: &[AtomicU64],
+    visited: &AtomicBits,
+    v: V,
+    tau: usize,
+    queue: &mut Vec<V>,
+    mut emit: impl FnMut(V),
+) -> u64 {
+    let lv = labels[v as usize].load(Ordering::Relaxed);
+    queue.clear();
+    queue.push(v);
+    let mut head = 0usize;
+    let mut t = 0usize;
+    while head < queue.len() {
+        let x = queue[head];
+        head += 1;
+        for &u in csr.neighbors(x) {
+            t += 1;
+            if labels[u as usize].load(Ordering::Relaxed) == lv && visited.test_and_set(u as usize)
+            {
+                if queue.len() < tau {
+                    queue.push(u);
+                } else {
+                    emit(u);
+                }
+            }
+        }
+        if t >= tau {
+            break;
+        }
+    }
+    queue[head..].iter().for_each(|&u| emit(u));
+    t as u64
+}
+
 /// One sequential sparse round: expands `frontier` into the next frontier,
 /// honouring the same label restriction and VGC local search as the
 /// parallel path.
@@ -46,38 +87,12 @@ fn sparse_round_seq(
     let mut next: Vec<V> = Vec::new();
     let mut queue: Vec<V> = Vec::new();
     for &v in frontier {
-        let lv = labels[v as usize].load(Ordering::Relaxed);
         if params.vgc && csr.degree(v) < tau {
-            // Local search: sequential multi-hop exploration bounded by τ
-            // visited neighbours (mirrors the parallel branch).
-            queue.clear();
-            queue.push(v);
-            let mut head = 0usize;
-            let mut t = 0usize;
-            while head < queue.len() {
-                let x = queue[head];
-                head += 1;
-                for &u in csr.neighbors(x) {
-                    t += 1;
-                    *scanned += 1;
-                    if labels[u as usize].load(Ordering::Relaxed) == lv
-                        && visited.test_and_set(u as usize)
-                    {
-                        if queue.len() < tau {
-                            queue.push(u);
-                        } else {
-                            next.push(u);
-                        }
-                    }
-                }
-                if t >= tau {
-                    break;
-                }
-            }
-            next.extend_from_slice(&queue[head..]);
+            *scanned += local_search(csr, labels, visited, v, tau, &mut queue, |u| next.push(u));
         } else {
+            let lv = labels[v as usize].load(Ordering::Relaxed);
+            *scanned += csr.degree(v) as u64;
             for &u in csr.neighbors(v) {
-                *scanned += 1;
                 if labels[u as usize].load(Ordering::Relaxed) == lv
                     && visited.test_and_set(u as usize)
                 {
@@ -102,6 +117,23 @@ pub fn single_reach(
     params: &ReachParams,
     visited: &AtomicBits,
 ) -> SingleReachOutcome {
+    let bag = HashBag::with_config(g.n(), params.bag);
+    single_reach_in(g, src, forward, labels, params, visited, &bag)
+}
+
+/// [`single_reach`] with the sparse frontier kept in the caller's `bag`
+/// (empty on entry and on return), which must have room for every vertex
+/// labelled like `src`. The slots are 64-bit whatever the item, so this is
+/// the bag the run's multi-reach searches keep their pairs in.
+pub(crate) fn single_reach_in(
+    g: &DiGraph,
+    src: V,
+    forward: bool,
+    labels: &[AtomicU64],
+    params: &ReachParams,
+    visited: &AtomicBits,
+    bag: &HashBag<u64>,
+) -> SingleReachOutcome {
     let n = g.n();
     let m = g.m().max(1);
     debug_assert_eq!(visited.count_ones(), 0, "visited must start clear");
@@ -109,10 +141,8 @@ pub fn single_reach(
 
     let mut out = SingleReachOutcome::default();
     let mut frontier: Vec<V> = vec![src];
-    let bag: HashBag<u32> = HashBag::with_config(n, params.bag);
     let csr = g.csr_dir(forward);
     let rev = g.csr_dir(!forward);
-    let edges = std::sync::atomic::AtomicU64::new(0);
     // Frontier bitset reused across dense rounds.
     let cur_bits = AtomicBits::new(n);
 
@@ -129,9 +159,8 @@ pub fn single_reach(
             // vertex per round for thousands of rounds) from paying the
             // per-round bag extract cost — FW-BW on a path was cubic
             // without it.
-            let mut scanned = 0u64;
-            frontier = sparse_round_seq(csr, labels, params, visited, &frontier, &mut scanned);
-            edges.fetch_add(scanned, Ordering::Relaxed);
+            frontier =
+                sparse_round_seq(csr, labels, params, visited, &frontier, &mut out.edges_scanned);
         } else if go_dense {
             out.dense_rounds += 1;
             // Mark the current frontier in a bitset.
@@ -145,15 +174,14 @@ pub fn single_reach(
             // *reverse*-direction neighbours; one hit suffices (early exit —
             // the work saving that makes dense mode pay off).
             let next_bits = AtomicBits::new(n);
-            par_range(0..n, 1024, &|r| {
-                let mut scanned = 0u64;
+            let scanned = par_range_with(0..n, 1024, &|| 0u64, &|scanned, r| {
                 for u in r {
                     if visited.get(u) {
                         continue;
                     }
                     let lu = labels[u].load(Ordering::Relaxed);
                     for &w in rev.neighbors(u as V) {
-                        scanned += 1;
+                        *scanned += 1;
                         if cur_bits.get(w as usize)
                             && labels[w as usize].load(Ordering::Relaxed) == lu
                         {
@@ -163,75 +191,47 @@ pub fn single_reach(
                         }
                     }
                 }
-                edges.fetch_add(scanned, Ordering::Relaxed);
             });
+            out.edges_scanned += scanned.into_iter().sum::<u64>();
             frontier = pack_index(n, |u| next_bits.get(u)).into_iter().map(|u| u as V).collect();
         } else {
             // Sparse round: hash-bag frontier, optional VGC local search.
+            // Queue and edge tally are per worker, not per frontier vertex.
             let tau = params.effective_tau(frontier.len());
-            par_range(0..frontier.len(), 1, &|r| {
-                let mut queue: Vec<V> = Vec::with_capacity(tau.min(1 << 14));
-                let mut scanned = 0u64;
+            let init = || (Vec::<V>::with_capacity(tau.min(1 << 14)), 0u64);
+            let workers = par_range_with(0..frontier.len(), 1, &init, &|(queue, scanned), r| {
                 for i in r {
                     let v = frontier[i];
-                    let lv = labels[v as usize].load(Ordering::Relaxed);
                     let deg = csr.degree(v);
                     if params.vgc && deg < tau {
-                        // Local search: sequential multi-hop exploration
-                        // bounded by τ visited neighbours.
-                        queue.clear();
-                        queue.push(v);
-                        let mut head = 0usize;
-                        let mut t = 0usize;
-                        while head < queue.len() {
-                            let x = queue[head];
-                            head += 1;
-                            for &u in csr.neighbors(x) {
-                                t += 1;
-                                scanned += 1;
-                                if labels[u as usize].load(Ordering::Relaxed) == lv
-                                    && visited.test_and_set(u as usize)
-                                {
-                                    if queue.len() < tau {
-                                        queue.push(u);
-                                    } else {
-                                        bag.insert(u);
-                                    }
-                                }
-                            }
-                            if t >= tau {
-                                break;
-                            }
-                        }
-                        // Flush unprocessed queue entries to the frontier.
-                        for &u in &queue[head..] {
-                            bag.insert(u);
-                        }
+                        *scanned += local_search(csr, labels, visited, v, tau, queue, |u| {
+                            bag.insert(u as u64)
+                        });
                     } else {
                         // Standard neighbour scan. The inner par_range runs
                         // sequentially when this round is already parallel
                         // (the runtime keeps nested regions on one worker);
                         // huge-frontier rounds are dense-mode's job instead.
-                        scanned += deg as u64;
+                        *scanned += deg as u64;
+                        let lv = labels[v as usize].load(Ordering::Relaxed);
                         let ns = csr.neighbors(v);
                         par_range(0..ns.len(), 2048, &|rr| {
                             for &u in &ns[rr] {
                                 if labels[u as usize].load(Ordering::Relaxed) == lv
                                     && visited.test_and_set(u as usize)
                                 {
-                                    bag.insert(u);
+                                    bag.insert(u as u64);
                                 }
                             }
                         });
                     }
                 }
-                edges.fetch_add(scanned, Ordering::Relaxed);
             });
-            frontier = bag.extract_all();
+            out.edges_scanned += workers.into_iter().map(|(_, scanned)| scanned).sum::<u64>();
+            frontier = bag.extract_map(|u| u as V);
         }
     }
     out.visited = visited.count_ones();
-    out.edges_scanned = edges.load(Ordering::Relaxed);
     out
 }
 

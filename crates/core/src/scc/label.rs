@@ -12,15 +12,17 @@
 //! as a commutative XOR accumulation of per-source hashes (so the parallel
 //! accumulation order does not matter) folded into the previous label.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use pscc_runtime::rng::{hash64, hash_combine};
-use pscc_runtime::{atomic_max_u32, par_for, AtomicBits};
+use pscc_runtime::{atomic_max_u32, par_sum_u64, tabulate, AtomicBits};
 use pscc_table::{pair_source, pair_vertex, PairTable};
 
 use crate::state::{SccState, FINAL_TAG};
 
-/// Scratch arrays reused across batches by [`label_from_multi`].
+/// Scratch arrays reused across the batches of one run by
+/// [`label_from_multi`], which finds the entries of every unfinished vertex
+/// zero and leaves them zero (finished vertices are never looked at again).
 pub struct LabelScratch {
     fwd_sig: Vec<AtomicU64>,
     bwd_sig: Vec<AtomicU64>,
@@ -33,18 +35,10 @@ impl LabelScratch {
     /// Allocates scratch for an `n`-vertex graph.
     pub fn new(n: usize) -> Self {
         Self {
-            fwd_sig: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            bwd_sig: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            winner: (0..n).map(|_| AtomicU32::new(0)).collect(),
+            fwd_sig: tabulate(n, |_| AtomicU64::new(0)),
+            bwd_sig: tabulate(n, |_| AtomicU64::new(0)),
+            winner: tabulate(n, |_| AtomicU32::new(0)),
         }
-    }
-
-    fn clear(&self) {
-        par_for(self.fwd_sig.len(), |i| {
-            self.fwd_sig[i].store(0, Ordering::Relaxed);
-            self.bwd_sig[i].store(0, Ordering::Relaxed);
-            self.winner[i].store(0, Ordering::Relaxed);
-        });
     }
 }
 
@@ -52,24 +46,22 @@ impl LabelScratch {
 /// are the forward/backward visited sets from source `s0`. Returns the
 /// number of newly finished vertices.
 pub fn label_from_single(state: &SccState, s0: u32, fvis: &AtomicBits, bvis: &AtomicBits) -> usize {
-    let n = state.n();
-    let newly = AtomicUsize::new(0);
-    par_for(n, |v| {
+    par_sum_u64(state.n(), |v| {
         if state.is_done(v as u32) {
-            return;
+            return 0;
         }
         let in_f = fvis.get(v);
         let in_b = bvis.get(v);
         if in_f && in_b {
             state.finish(v as u32, s0);
-            newly.fetch_add(1, Ordering::Relaxed);
+            1
         } else {
             let sig = in_f as u64 | (in_b as u64) << 1;
             let old = state.labels[v].load(Ordering::Relaxed);
             state.labels[v].store(hash_combine(old, sig) & !FINAL_TAG, Ordering::Relaxed);
+            0
         }
-    });
-    newly.load(Ordering::Relaxed)
+    }) as usize
 }
 
 /// Labeling after a batch of multi-reachability searches with forward pair
@@ -81,8 +73,6 @@ pub fn label_from_multi(
     t_in: &PairTable,
     scratch: &LabelScratch,
 ) -> usize {
-    scratch.clear();
-
     // Forward pairs: accumulate signatures and detect strong connections.
     t_out.for_each(|key| {
         let v = pair_vertex(key) as usize;
@@ -99,24 +89,30 @@ pub fn label_from_multi(
         scratch.bwd_sig[v].fetch_xor(hash64((s as u64) << 1), Ordering::Relaxed);
     });
 
-    let newly = AtomicUsize::new(0);
-    par_for(state.n(), |v| {
+    // One pass reads each unfinished vertex's scratch, zeroes what the
+    // batch wrote there, and counts the vertices it finishes.
+    par_sum_u64(state.n(), |v| {
         if state.is_done(v as u32) {
-            return;
+            return 0;
         }
         let w = scratch.winner[v].load(Ordering::Relaxed);
+        let f = scratch.fwd_sig[v].load(Ordering::Relaxed);
+        let b = scratch.bwd_sig[v].load(Ordering::Relaxed);
+        if w != 0 || f != 0 || b != 0 {
+            scratch.winner[v].store(0, Ordering::Relaxed);
+            scratch.fwd_sig[v].store(0, Ordering::Relaxed);
+            scratch.bwd_sig[v].store(0, Ordering::Relaxed);
+        }
         if w > 0 {
             state.finish(v as u32, w - 1);
-            newly.fetch_add(1, Ordering::Relaxed);
+            1
         } else {
-            let f = scratch.fwd_sig[v].load(Ordering::Relaxed);
-            let b = scratch.bwd_sig[v].load(Ordering::Relaxed);
             let old = state.labels[v].load(Ordering::Relaxed);
             let new = hash_combine(hash_combine(old, f), b) & !FINAL_TAG;
             state.labels[v].store(new, Ordering::Relaxed);
+            0
         }
-    });
-    newly.load(Ordering::Relaxed)
+    }) as usize
 }
 
 #[cfg(test)]
@@ -182,6 +178,27 @@ mod tests {
         // Untouched vertex 0 differs from all touched ones.
         assert_ne!(state.label(0), state.label(1));
         assert_ne!(state.label(0), state.label(3));
+    }
+
+    #[test]
+    fn scratch_is_left_clean_for_the_next_batch() {
+        // Batch 1 leaves a forward-only signature on vertex 1 and finishes
+        // vertex 0; batch 2, with empty tables on the same scratch, must
+        // relabel 1 and the untouched 2 by the same rule (they were equal
+        // before, so they stay equal) and finish nothing.
+        let state = SccState::new(3);
+        let scratch = LabelScratch::new(3);
+        let (t_out, t_in) = (PairTable::with_capacity(8), PairTable::with_capacity(8));
+        t_out.insert(pack_pair(0, 0));
+        t_in.insert(pack_pair(0, 0));
+        t_out.insert(pack_pair(1, 0));
+        assert_eq!(label_from_multi(&state, &t_out, &t_in, &scratch), 1);
+        assert_ne!(state.label(1), state.label(2));
+        state.labels[1].store(state.label(2), Ordering::Relaxed);
+        t_out.clear();
+        t_in.clear();
+        assert_eq!(label_from_multi(&state, &t_out, &t_in, &scratch), 0);
+        assert_eq!(state.label(1), state.label(2), "stale signature from batch 1");
     }
 
     #[test]

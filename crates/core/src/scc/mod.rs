@@ -13,12 +13,14 @@ pub mod trim;
 
 use std::time::Duration;
 
+use pscc_bag::HashBag;
 use pscc_graph::{DiGraph, V};
 use pscc_runtime::{random_permutation, AtomicBits, Timer};
 use pscc_table::{next_table_capacity, PairTable};
 
 use crate::config::SccConfig;
-use crate::reach::{multi_reach, single_reach};
+use crate::reach::multi::multi_reach_in;
+use crate::reach::single::single_reach_in;
 use crate::state::SccState;
 use crate::stats::{SccStats, SearchRecord};
 use crate::verify::component_stats;
@@ -43,6 +45,32 @@ pub fn parallel_scc(g: &DiGraph, cfg: &SccConfig) -> SccResult {
     parallel_scc_with_stats(g, cfg).0
 }
 
+/// Everything one SCC run allocates for its reachability searches: one
+/// hash bag for every search's frontier, the forward and backward pair
+/// tables, and the labeling scratch. Allocated (and first touched in
+/// parallel) once per run, re-sized only when a table outgrows its
+/// allocation, and emptied after each use at the cost of what was used.
+struct Workspace {
+    bag: HashBag<u64>,
+    t_out: PairTable,
+    t_in: PairTable,
+    scratch: LabelScratch,
+}
+
+impl Workspace {
+    /// Workspace for an `n`-vertex graph of which `unfinished` vertices
+    /// survive trimming: the bag can take a single-source frontier of all
+    /// of them, which also covers the first batches' tables.
+    fn new(n: usize, unfinished: usize, cfg: &SccConfig) -> Self {
+        Self {
+            bag: HashBag::with_config(unfinished, cfg.bag),
+            t_out: PairTable::with_capacity(0),
+            t_in: PairTable::with_capacity(0),
+            scratch: LabelScratch::new(n),
+        }
+    }
+}
+
 /// Computes SCCs and returns detailed instrumentation ([`SccStats`]).
 pub fn parallel_scc_with_stats(g: &DiGraph, cfg: &SccConfig) -> (SccResult, SccStats) {
     let n = g.n();
@@ -52,15 +80,18 @@ pub fn parallel_scc_with_stats(g: &DiGraph, cfg: &SccConfig) -> (SccResult, SccS
         return (SccResult { labels: Vec::new(), num_sccs: 0, largest_scc: 0 }, stats);
     }
 
-    let state = SccState::new(n);
+    let state = stats.breakdown.run("other", || SccState::new(n));
 
     // Phase 1: trimming (§4.1).
     stats.trimmed = stats.breakdown.run("trim", || trim(g, &state, cfg.iterative_trim));
     let mut unfinished = n - stats.trimmed;
 
-    // Random permutation and prefix-doubling batches (Alg. 1 line 2).
-    let perm = stats.breakdown.run("other", || random_permutation(n, cfg.seed));
-    let scratch = stats.breakdown.run("other", || LabelScratch::new(n));
+    // Random permutation and prefix-doubling batches (Alg. 1 line 2), and
+    // the run's workspace. Set-up, per-batch clearing and the final
+    // snapshot are all "other".
+    let (perm, mut ws) = stats
+        .breakdown
+        .run("other", || (random_permutation(n, cfg.seed), Workspace::new(n, unfinished, cfg)));
 
     let mut cursor = 0usize;
     let mut batch_size = 1usize;
@@ -68,8 +99,9 @@ pub fn parallel_scc_with_stats(g: &DiGraph, cfg: &SccConfig) -> (SccResult, SccS
 
     while cursor < n && unfinished > 0 {
         let end = (cursor + batch_size).min(n);
-        let sources: Vec<V> =
-            perm[cursor..end].iter().copied().filter(|&v| !state.is_done(v)).collect();
+        let sources: Vec<V> = stats.breakdown.run("other", || {
+            perm[cursor..end].iter().copied().filter(|&v| !state.is_done(v)).collect()
+        });
         cursor = end;
         batch_size = next_batch_size(batch_size, cfg.beta);
         if sources.is_empty() {
@@ -83,33 +115,23 @@ pub fn parallel_scc_with_stats(g: &DiGraph, cfg: &SccConfig) -> (SccResult, SccS
             // (§4.2).
             let s0 = sources[0];
             let params = cfg.single_params();
-            let fvis = AtomicBits::new(n);
-            let bvis = AtomicBits::new(n);
-            let (fo, bo) = {
-                let t = Timer::start();
-                let fo = single_reach(g, s0, true, &state.labels, &params, &fvis);
-                let bo = single_reach(g, s0, false, &state.labels, &params, &bvis);
-                stats.breakdown.add("first_scc", t.elapsed());
-                (fo, bo)
-            };
-            stats.searches.push(SearchRecord {
-                batch,
-                sources: 1,
-                forward: true,
-                multi: false,
-                rounds: fo.rounds,
-                dense_rounds: fo.dense_rounds,
-                reached: fo.visited,
-            });
-            stats.searches.push(SearchRecord {
-                batch,
-                sources: 1,
-                forward: false,
-                multi: false,
-                rounds: bo.rounds,
-                dense_rounds: bo.dense_rounds,
-                reached: bo.visited,
-            });
+            let (fvis, bvis) =
+                stats.breakdown.run("other", || (AtomicBits::new(n), AtomicBits::new(n)));
+            let t = Timer::start();
+            let fo = single_reach_in(g, s0, true, &state.labels, &params, &fvis, &ws.bag);
+            let bo = single_reach_in(g, s0, false, &state.labels, &params, &bvis, &ws.bag);
+            stats.breakdown.add("first_scc", t.elapsed());
+            for (forward, o) in [(true, &fo), (false, &bo)] {
+                stats.searches.push(SearchRecord {
+                    batch,
+                    sources: 1,
+                    forward,
+                    multi: false,
+                    rounds: o.rounds,
+                    dense_rounds: o.dense_rounds,
+                    reached: o.visited,
+                });
+            }
             let newly =
                 stats.breakdown.run("labeling", || label_from_single(&state, s0, &fvis, &bvis));
             unfinished -= newly;
@@ -121,49 +143,51 @@ pub fn parallel_scc_with_stats(g: &DiGraph, cfg: &SccConfig) -> (SccResult, SccS
             } else {
                 next_table_capacity(prev_pairs, unfinished)
             };
-            let mut t_out = PairTable::with_capacity(cap);
-            let mut t_in = PairTable::with_capacity(cap);
+            stats.breakdown.run("other", || {
+                ws.t_out.reset(cap);
+                ws.t_in.reset(cap);
+            });
             let params = cfg.multi_params();
+            let labels = &state.labels;
             let t = Timer::start();
-            let fo = multi_reach(g, &sources, true, &state.labels, &params, &mut t_out);
-            let bo = multi_reach(g, &sources, false, &state.labels, &params, &mut t_in);
+            let fo = multi_reach_in(g, &sources, true, labels, &params, &mut ws.t_out, &mut ws.bag);
+            let bo = multi_reach_in(g, &sources, false, labels, &params, &mut ws.t_in, &mut ws.bag);
             let elapsed = t.seconds();
             let resize = fo.resize_seconds + bo.resize_seconds;
             stats
                 .breakdown
                 .add("multi_search", Duration::from_secs_f64((elapsed - resize).max(0.0)));
             stats.breakdown.add("table_resize", Duration::from_secs_f64(resize));
-            stats.searches.push(SearchRecord {
-                batch,
-                sources: sources.len(),
-                forward: true,
-                multi: true,
-                rounds: fo.rounds,
-                dense_rounds: 0,
-                reached: fo.pairs_added,
-            });
-            stats.searches.push(SearchRecord {
-                batch,
-                sources: sources.len(),
-                forward: false,
-                multi: true,
-                rounds: bo.rounds,
-                dense_rounds: 0,
-                reached: bo.pairs_added,
-            });
+            for (forward, o) in [(true, &fo), (false, &bo)] {
+                stats.searches.push(SearchRecord {
+                    batch,
+                    sources: sources.len(),
+                    forward,
+                    multi: true,
+                    rounds: o.rounds,
+                    dense_rounds: 0,
+                    reached: o.pairs_added,
+                });
+            }
             let newly = stats
                 .breakdown
-                .run("labeling", || label_from_multi(&state, &t_out, &t_in, &scratch));
+                .run("labeling", || label_from_multi(&state, &ws.t_out, &ws.t_in, &ws.scratch));
             unfinished -= newly;
-            prev_pairs = t_out.len() + t_in.len();
+            prev_pairs = fo.pairs_added + bo.pairs_added;
         }
     }
 
     assert_eq!(unfinished, 0, "BGSS must finish every vertex");
     state.debug_assert_all_done();
 
-    let labels = state.labels_snapshot();
-    let (num_sccs, largest_scc) = component_stats(&labels);
+    let (labels, (num_sccs, largest_scc)) = stats.breakdown.run("other", || {
+        // Free the workspace before the snapshot and the component count
+        // allocate theirs.
+        drop((ws, perm));
+        let labels = state.labels_snapshot();
+        let counts = component_stats(&labels);
+        (labels, counts)
+    });
     stats.total_seconds = total.seconds();
     (SccResult { labels, num_sccs, largest_scc }, stats)
 }
@@ -389,6 +413,17 @@ mod tests {
         assert!(stats.total_seconds > 0.0);
         // Breakdown phases should cover most of the total.
         assert!(stats.breakdown.total_seconds() <= stats.total_seconds + 0.1);
+
+        // On a run long enough to time, every step is charged to a phase:
+        // set-up, per-batch clearing and the final snapshot are "other".
+        let g = pscc_graph::generators::lattice::lattice_sqr(300, 300, 1);
+        let (_, stats) = parallel_scc_with_stats(&g, &SccConfig::default());
+        let charged: f64 = crate::stats::PHASES.iter().map(|p| stats.phase_seconds(p)).sum();
+        assert!(
+            charged >= 0.97 * stats.total_seconds,
+            "phases sum to {charged:.4}s of {:.4}s",
+            stats.total_seconds
+        );
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use pscc_runtime::{par_for, AtomicBits};
+use pscc_runtime::{tabulate, AtomicBits};
 
 /// High bit tagging a final SCC label. Signature labels always have it
 /// clear, final labels always have it set.
@@ -32,10 +32,7 @@ pub struct SccState {
 impl SccState {
     /// Fresh state for an `n`-vertex graph.
     pub fn new(n: usize) -> Self {
-        Self {
-            labels: (0..n).map(|_| AtomicU64::new(INIT_LABEL)).collect(),
-            done: AtomicBits::new(n),
-        }
+        Self { labels: tabulate(n, |_| AtomicU64::new(INIT_LABEL)), done: AtomicBits::new(n) }
     }
 
     /// Number of vertices.
@@ -69,23 +66,7 @@ impl SccState {
 
     /// Snapshot of all labels.
     pub fn labels_snapshot(&self) -> Vec<u64> {
-        let mut out = vec![0u64; self.n()];
-        struct P(*mut u64);
-        // SAFETY: P is only shared with the loop below, where each index
-        // i < n is written by exactly one task.
-        unsafe impl Sync for P {}
-        impl P {
-            fn get(&self) -> *mut u64 {
-                self.0
-            }
-        }
-        let p = P(out.as_mut_ptr());
-        par_for(self.n(), |i| {
-            // SAFETY: i < n indexes the n-entry out buffer; par_for
-            // visits each index exactly once, so writes never alias.
-            unsafe { *p.get().add(i) = self.labels[i].load(Ordering::Relaxed) };
-        });
-        out
+        tabulate(self.n(), |i| self.labels[i].load(Ordering::Relaxed))
     }
 
     /// Asserts every vertex is finished (debug builds only).

@@ -95,6 +95,11 @@ pub fn le_lists_with_priority(
     let mut lists: Vec<Vec<LeEntry>> = vec![Vec::new(); n];
     let mut rounds = 0usize;
 
+    // One pair table and one hash bag for the whole run: each batch resets
+    // the table, and the bag is re-allocated only if a table outgrows it.
+    let mut table = PairTable::with_capacity(1024);
+    let mut bag: HashBag<u64> = HashBag::with_config(table.slot_count() / 2, cfg.bag);
+
     let mut cursor = 0usize;
     let mut batch = 1usize;
     while cursor < n {
@@ -104,7 +109,7 @@ pub fn le_lists_with_priority(
         batch = ((batch as f64 * cfg.beta).ceil() as usize).max(batch + 1);
 
         // ---- multi-BFS for this batch ----
-        let mut table = PairTable::with_capacity((sources.len() * 8).max(1024));
+        table.reset((sources.len() * 8).max(1024));
         // Triples (u, src, d) collected this batch.
         let mut triples: Vec<(V, V, u32)> = Vec::new();
         let mut frontier: Vec<u64> = Vec::new();
@@ -116,7 +121,9 @@ pub fn le_lists_with_priority(
                 triples.push((s, s, 0));
             }
         }
-        let mut bag: HashBag<u64> = HashBag::with_config(table.slot_count(), cfg.bag);
+        // The table keeps no count; every pair it holds went through a
+        // frontier, so the frontier sizes add up to it.
+        let mut pairs = frontier.len();
         // Keys whose global insert hit the probe limit (rare): re-inserted
         // after a grow at the end of the round.
         let overflow: std::sync::Mutex<Vec<u64>> = std::sync::Mutex::new(Vec::new());
@@ -128,14 +135,11 @@ pub fn le_lists_with_priority(
             rounds += 1;
             d += 1;
             // Grow proactively so mid-round Full events stay rare (§4.5).
-            let mut grew = false;
-            while table.len() * 4 >= table.slot_count() {
+            while pairs * 4 >= table.slot_count() {
                 table.grow();
-                grew = true;
             }
-            if grew {
-                bag = HashBag::with_config(table.slot_count(), cfg.bag);
-            }
+            // A round adds at most what the table has room for.
+            bag.reserve(table.slot_count() / 2);
             let mut next: Vec<u64> = match cfg.mode {
                 FrontierMode::HashBag => {
                     let bag_ref = &bag;
@@ -163,7 +167,6 @@ pub fn le_lists_with_priority(
                     break;
                 }
                 table.grow();
-                bag = HashBag::with_config(table.slot_count(), cfg.bag);
                 for key in pending {
                     match table.insert(key) {
                         Insert::Added => next.push(key),
@@ -173,6 +176,7 @@ pub fn le_lists_with_priority(
                 }
             }
             triples.extend(next.iter().map(|&key| (pair_vertex(key), pair_source(key), d)));
+            pairs += next.len();
             frontier = next;
         }
 

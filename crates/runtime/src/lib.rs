@@ -8,7 +8,8 @@
 //! (no external dependencies), plus the parallel building blocks the
 //! algorithms need:
 //!
-//! * blocked [`par_for`] / [`par_range`] loops with explicit granularity
+//! * blocked [`par_for`] / [`par_range`] / [`par_range_with`] (per-worker
+//!   state) loops with explicit granularity
 //!   (the classic *horizontal* granularity control of §3.1),
 //! * [`scan`] (exclusive prefix sums), [`fn@pack`] / [`pack_index`]
 //!   (parallel compaction, used by the hash bag's `extract_all`),
@@ -41,8 +42,8 @@ pub mod sort;
 
 pub use atomic::{atomic_max_u32, atomic_max_u64, atomic_min_u32, AtomicBits};
 pub use background::Background;
-pub use pack::{pack, pack_index, pack_map};
-pub use parfor::{par_for, par_for_grain, par_range, DEFAULT_GRAIN};
+pub use pack::{pack, pack_index, pack_map, tabulate};
+pub use parfor::{par_for, par_for_grain, par_range, par_range_with, DEFAULT_GRAIN};
 pub use permute::random_permutation;
 pub use pool::{num_workers, with_threads};
 pub use pscc_telemetry::{PhaseTimer, Timer};

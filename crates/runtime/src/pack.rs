@@ -4,7 +4,8 @@
 //! dense output vector, preserving order, using the standard
 //! count → scan → write scheme (JáJá 1992). This is the primitive behind
 //! the hash bag's `extract_all` (§3.3) and the edge-revisit frontier
-//! generation of the GBBS-like baseline.
+//! generation of the GBBS-like baseline. [`tabulate`] is the degenerate
+//! case that keeps everything: a parallel, first-touch array fill.
 
 use crate::parfor::par_range;
 use crate::scan::scan_exclusive;
@@ -125,6 +126,32 @@ where
     out
 }
 
+/// Builds `[f(0), f(1), …, f(n-1)]` in parallel. Each block of the vector
+/// is first touched by the worker that computes it, so a large array's page
+/// faults are spread over the workers instead of serialised on the caller.
+pub fn tabulate<T, F>(n: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let mut out: Vec<T> = Vec::with_capacity(n);
+    {
+        let out_ptr = SyncPtr(out.as_mut_ptr());
+        par_range(0..n, BLOCK, &|r| {
+            for i in r {
+                // SAFETY: i < n <= capacity, and par_range hands every
+                // index to exactly one task, so each slot is written once
+                // and never read before set_len below.
+                unsafe { out_ptr.get().add(i).write(f(i)) };
+            }
+        });
+    }
+    // SAFETY: the loop above initialized every slot in 0..n. (If `f`
+    // panics the unwind skips this line and `out` drops with length 0.)
+    unsafe { out.set_len(n) };
+    out
+}
+
 struct SyncPtr<T>(*mut T);
 // SAFETY: SyncPtr is a raw-pointer capability handed to disjoint-write
 // parallel loops; every use site guarantees its own non-overlapping
@@ -189,6 +216,15 @@ mod tests {
         let got = pack_map(&data, |&x| if x % 5 == 0 { Some(x * 2) } else { None });
         let expected: Vec<u32> = (0..20_000).filter(|x| x % 5 == 0).map(|x| x * 2).collect();
         assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn tabulate_fills_every_slot_in_order() {
+        for n in [0, 1, super::BLOCK, super::BLOCK * 3 + 5] {
+            let got = crate::with_threads(4, || tabulate(n, |i| (i as u64, vec![i])));
+            assert_eq!(got.len(), n);
+            assert!(got.iter().enumerate().all(|(i, x)| x.0 == i as u64 && x.1 == [i]));
+        }
     }
 
     #[test]

@@ -1,21 +1,17 @@
 //! Parallel reductions over index ranges.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::atomic::atomic_max_u64;
-use crate::parfor::par_range;
+use crate::parfor::{par_range, par_range_with};
 
-/// Parallel sum of `f(i)` over `0..n`.
+/// Parallel sum of `f(i)` over `0..n`: one partial sum per worker, added
+/// up by the caller.
 pub fn par_sum_u64<F>(n: usize, f: F) -> u64
 where
     F: Fn(usize) -> u64 + Sync,
 {
-    let total = AtomicU64::new(0);
-    par_range(0..n, 2048, &|r| {
-        let s: u64 = r.map(&f).sum();
-        total.fetch_add(s, Ordering::Relaxed);
-    });
-    total.load(Ordering::Relaxed)
+    par_range_with(0..n, 2048, &|| 0u64, &|acc, r| *acc += r.map(&f).sum::<u64>()).into_iter().sum()
 }
 
 /// Parallel count of indices in `0..n` satisfying `pred`.
@@ -23,12 +19,7 @@ pub fn par_count<F>(n: usize, pred: F) -> usize
 where
     F: Fn(usize) -> bool + Sync,
 {
-    let total = AtomicUsize::new(0);
-    par_range(0..n, 2048, &|r| {
-        let c = r.filter(|&i| pred(i)).count();
-        total.fetch_add(c, Ordering::Relaxed);
-    });
-    total.load(Ordering::Relaxed)
+    par_sum_u64(n, |i| pred(i) as u64) as usize
 }
 
 /// Parallel max of `f(i)` over `0..n`; returns `None` for an empty range.

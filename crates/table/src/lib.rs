@@ -7,6 +7,9 @@
 //! pairs; open addressing with linear probing over a power-of-two slot
 //! array of `AtomicU64`.
 //!
+//! An insert writes nothing but the slot it claims — no shared counter —
+//! so workers share the slot array and nothing else.
+//!
 //! The table does not grow during concurrent insertion. Instead the SCC
 //! driver sizes it up front with the paper's heuristic (§4.5,
 //! [`heuristic::next_table_capacity`]) and, if an insert still hits the
@@ -20,9 +23,9 @@ pub mod pair;
 pub use heuristic::next_table_capacity;
 pub use pair::{pack_pair, pair_source, pair_vertex};
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use pscc_runtime::{hash64, pack_map, par_range};
+use pscc_runtime::{hash64, pack_map, par_count, par_range, tabulate};
 
 /// Slot sentinel for "empty".
 const EMPTY: u64 = u64::MAX;
@@ -42,35 +45,79 @@ pub enum Insert {
 /// A phase-concurrent open-addressing hash set of `u64` keys.
 ///
 /// `u64::MAX` is reserved as the empty sentinel and cannot be stored.
+///
+/// The table hashes into the first `slot_count()` slots of its allocation
+/// and every slot beyond them is empty, so one allocation serves a run of
+/// searches with different capacities ([`PairTable::reset`]) at a cost
+/// proportional to the slots each one used.
 pub struct PairTable {
     slots: Box<[AtomicU64]>,
+    /// `slot_count() - 1`.
     mask: usize,
-    len: AtomicUsize,
     /// Probe limit before reporting [`Insert::Full`].
     probe_limit: usize,
+}
+
+/// Slots for about `capacity` keys: a power of two with 2× headroom.
+fn slots_for(capacity: usize) -> usize {
+    (capacity.max(8) * 2).next_power_of_two()
+}
+
+/// Probes an insert into a table of `slots` slots makes before giving up.
+fn probe_limit(slots: usize) -> usize {
+    128 + slots.trailing_zeros() as usize * 8
 }
 
 impl PairTable {
     /// Creates a table able to hold about `capacity` keys (rounded up to a
     /// power of two with 2× headroom).
     pub fn with_capacity(capacity: usize) -> Self {
-        let slots = (capacity.max(8) * 2).next_power_of_two();
+        Self::with_slots(slots_for(capacity))
+    }
+
+    /// A fresh table of `slots` slots, first touched in parallel.
+    fn with_slots(slots: usize) -> Self {
         Self {
-            slots: (0..slots).map(|_| AtomicU64::new(EMPTY)).collect(),
+            slots: tabulate(slots, |_| AtomicU64::new(EMPTY)).into_boxed_slice(),
             mask: slots - 1,
-            len: AtomicUsize::new(0),
-            probe_limit: 128 + slots.trailing_zeros() as usize * 8,
+            probe_limit: probe_limit(slots),
         }
     }
 
-    /// Number of slots (always a power of two).
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
+    /// Empties the table and makes it hash into `slots` slots, allocating
+    /// only when it owns fewer.
+    fn redimension(&mut self, slots: usize) {
+        if slots > self.slots.len() {
+            *self = Self::with_slots(slots);
+        } else {
+            self.clear();
+            self.mask = slots - 1;
+            self.probe_limit = probe_limit(slots);
+        }
     }
 
-    /// Number of stored keys.
+    /// Empties the table and re-dimensions it for about `capacity` keys,
+    /// keeping the allocation whenever it is large enough.
+    pub fn reset(&mut self, capacity: usize) {
+        self.redimension(slots_for(capacity));
+    }
+
+    /// Number of slots in use (always a power of two).
+    pub fn slot_count(&self) -> usize {
+        self.mask + 1
+    }
+
+    fn active(&self) -> &[AtomicU64] {
+        &self.slots[..=self.mask]
+    }
+
+    /// Number of stored keys: a parallel count over the slots, exact
+    /// whenever no insert is in flight. `insert` keeps no counter — that
+    /// would be one cache line every worker writes per pair — so a search
+    /// that needs the count every round keeps its own tally of `Added`s.
     pub fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
+        let slots = self.active();
+        par_count(slots.len(), |i| slots[i].load(Ordering::Relaxed) != EMPTY)
     }
 
     /// True if no keys are stored.
@@ -79,7 +126,8 @@ impl PairTable {
     }
 
     /// Inserts `key`; returns whether it was added, already present, or the
-    /// table needs growing. Concurrent-safe with other `insert`/`contains`.
+    /// table needs growing. Concurrent-safe with other `insert`/`contains`;
+    /// writes nothing but the slot it claims.
     pub fn insert(&self, key: u64) -> Insert {
         debug_assert_ne!(key, EMPTY, "u64::MAX is the empty sentinel");
         let mut i = (hash64(key) as usize) & self.mask;
@@ -95,10 +143,7 @@ impl PairTable {
                     Ordering::Release,
                     Ordering::Relaxed,
                 ) {
-                    Ok(_) => {
-                        self.len.fetch_add(1, Ordering::Relaxed);
-                        return Insert::Added;
-                    }
+                    Ok(_) => return Insert::Added,
                     Err(now) => {
                         if now == key {
                             return Insert::Present;
@@ -136,7 +181,7 @@ impl PairTable {
 
     /// All stored keys, packed in slot order. Not concurrent with `insert`.
     pub fn keys(&self) -> Vec<u64> {
-        pack_map(&self.slots, |s| {
+        pack_map(self.active(), |s| {
             let v = s.load(Ordering::Relaxed);
             (v != EMPTY).then_some(v)
         })
@@ -148,9 +193,10 @@ impl PairTable {
     where
         F: Fn(u64) + Sync,
     {
-        par_range(0..self.slots.len(), 2048, &|r| {
-            for i in r {
-                let v = self.slots[i].load(Ordering::Relaxed);
+        let slots = self.active();
+        par_range(0..slots.len(), 2048, &|r| {
+            for s in &slots[r] {
+                let v = s.load(Ordering::Relaxed);
                 if v != EMPTY {
                     f(v);
                 }
@@ -158,38 +204,30 @@ impl PairTable {
         });
     }
 
-    /// Rebuilds into a table with at least double the slots, rehashing all
-    /// keys (parallel). This is the copy cost the §4.5 heuristic avoids.
+    /// Rehashes all keys (parallel) into at least double the slots — in
+    /// place when the allocation has room. This is the copy cost the §4.5
+    /// heuristic avoids.
     pub fn grow(&mut self) {
         let keys = self.keys();
-        let mut bigger = PairTable::with_capacity(self.slots.len());
-        debug_assert!(bigger.slot_count() > self.slot_count());
+        let mut slots = self.slot_count();
         loop {
-            let ok = std::sync::atomic::AtomicBool::new(true);
-            par_range(0..keys.len(), 1024, &|r| {
-                for &k in &keys[r.clone()] {
-                    if bigger.insert(k) == Insert::Full {
-                        ok.store(false, Ordering::Relaxed);
-                    }
-                }
-            });
-            if ok.load(Ordering::Relaxed) {
+            slots *= 2;
+            self.redimension(slots);
+            // Extremely unlikely to refuse a key: double again.
+            if par_count(keys.len(), |i| self.insert(keys[i]) == Insert::Full) == 0 {
                 break;
             }
-            // Extremely unlikely: double again.
-            bigger = PairTable::with_capacity(bigger.slot_count());
         }
-        *self = bigger;
     }
 
     /// Clears all keys (parallel), keeping the allocation.
     pub fn clear(&self) {
-        par_range(0..self.slots.len(), 4096, &|r| {
-            for i in r {
-                self.slots[i].store(EMPTY, Ordering::Relaxed);
+        let slots = self.active();
+        par_range(0..slots.len(), 4096, &|r| {
+            for s in &slots[r] {
+                s.store(EMPTY, Ordering::Relaxed);
             }
         });
-        self.len.store(0, Ordering::Relaxed);
     }
 }
 
@@ -223,6 +261,79 @@ mod tests {
         });
         assert_eq!(added.load(Ordering::Relaxed), 100_000);
         assert_eq!(t.len(), 100_000);
+    }
+
+    /// Eight workers, released together, each insert their own eighth of
+    /// `keys` and their neighbour's: every key is inserted by two workers.
+    /// Returns how many inserts reported `Added`.
+    fn insert_twice_from_eight_workers(t: &PairTable, keys: &[u64]) -> usize {
+        let per = keys.len() / 8;
+        let barrier = std::sync::Barrier::new(8);
+        let added = pscc_runtime::with_threads(8, || {
+            pscc_runtime::par_range_with(0..8, 1, &|| 0usize, &|added, r| {
+                // Workers block here until all eight hold a block, so each
+                // of the eight blocks runs on its own thread.
+                barrier.wait();
+                for seg in [r.start, (r.start + 1) % 8] {
+                    for &k in &keys[seg * per..(seg + 1) * per] {
+                        match t.insert(k) {
+                            Insert::Added => *added += 1,
+                            Insert::Present => {}
+                            Insert::Full => panic!("table sized for the keys"),
+                        }
+                    }
+                }
+            })
+        });
+        added.into_iter().sum()
+    }
+
+    #[test]
+    fn added_fires_once_per_key_and_len_is_exact() {
+        let keys: Vec<u64> = (0..80_000u64).map(|k| hash64(k) >> 1).collect();
+        let unique: HashSet<u64> = keys.iter().copied().collect();
+        let mut t = PairTable::with_capacity(keys.len());
+        assert_eq!(insert_twice_from_eight_workers(&t, &keys), unique.len());
+        assert_eq!(t.len(), unique.len());
+        assert_eq!(t.keys().len(), unique.len());
+
+        t.grow();
+        assert_eq!(t.len(), unique.len());
+        assert_eq!(t.keys().into_iter().collect::<HashSet<u64>>(), unique);
+        assert_eq!(insert_twice_from_eight_workers(&t, &keys), 0, "all present after grow");
+
+        t.clear();
+        assert_eq!(t.len(), 0);
+        assert!(t.keys().is_empty());
+        assert_eq!(insert_twice_from_eight_workers(&t, &keys), unique.len());
+        assert_eq!(t.len(), t.keys().len());
+    }
+
+    #[test]
+    fn reset_reuses_the_allocation_and_leaves_nothing_behind() {
+        let mut t = PairTable::with_capacity(4096);
+        let big = t.slot_count();
+        for k in 0..3000u64 {
+            assert_eq!(t.insert(k), Insert::Added);
+        }
+        // A smaller table in the same allocation: empty, and only its own
+        // slots are visible.
+        t.reset(100);
+        assert!(t.slot_count() < big);
+        assert!(t.is_empty());
+        assert!(!t.contains(7));
+        for k in 0..100u64 {
+            assert_eq!(t.insert(k), Insert::Added);
+        }
+        // Growing back fits the allocation; the keys survive.
+        while t.slot_count() < big {
+            t.grow();
+        }
+        assert_eq!(t.keys().into_iter().collect::<HashSet<u64>>(), (0..100u64).collect());
+        // Back to full size: the 3000 keys of the first use are gone.
+        t.reset(4096);
+        assert_eq!(t.slot_count(), big);
+        assert_eq!(t.len(), 0);
     }
 
     #[test]

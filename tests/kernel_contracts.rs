@@ -1,0 +1,44 @@
+//! The kernel reuses one workspace (hash bag, pair tables, label scratch)
+//! across all the searches of a run. Nothing may leak from one search, or
+//! one run, into the next: consecutive runs in one process — whole-graph
+//! and induced, narrow and oversubscribed — must all agree with Tarjan.
+//!
+//! Release-only: CI runs this file in its `cargo test --release` step.
+
+use parallel_scc::graph::generators::lattice::lattice_sqr;
+use parallel_scc::graph::generators::rmat::rmat_digraph;
+use parallel_scc::graph::SubgraphView;
+use parallel_scc::prelude::*;
+use parallel_scc::scc::parallel_scc_induced;
+use parallel_scc::scc::verify::same_partition;
+
+fn run_twice_then_induced(g: &DiGraph, name: &str) {
+    let want = tarjan_scc(g);
+    // The induced run: every vertex but each seventh, plus two overlay arcs.
+    let vertices: Vec<V> = (0..g.n() as V).filter(|v| v % 7 != 0).collect();
+    let arcs = [(vertices[1], vertices[0]), (vertices[vertices.len() - 1], vertices[2])];
+    let want_induced = tarjan_scc(&SubgraphView::new(g, &vertices).extract_with_arcs(&arcs));
+    let cfg = SccConfig::default();
+    for width in [1, 2, 8] {
+        with_threads(width, || {
+            for run in 0..2 {
+                let got = parallel_scc(g, &cfg);
+                assert!(same_partition(&got.labels, &want), "{name} width {width} run {run}");
+            }
+            let got = parallel_scc_induced(g, &vertices, &arcs, &cfg);
+            assert!(same_partition(&got, &want_induced), "{name} width {width} induced");
+        });
+    }
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "sized for release builds; CI runs it with --release")]
+fn consecutive_runs_on_a_lattice_agree_with_tarjan() {
+    run_twice_then_induced(&lattice_sqr(200, 200, 1), "lattice 200x200");
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "sized for release builds; CI runs it with --release")]
+fn consecutive_runs_on_rmat_agree_with_tarjan() {
+    run_twice_then_induced(&rmat_digraph(14, 120_000, 1), "rmat-14");
+}
