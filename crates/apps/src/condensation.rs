@@ -1,7 +1,7 @@
 //! Graph contraction by SCC: the condensation DAG.
 
-use pscc_core::verify::normalize_labels;
-use pscc_graph::{DiGraph, V};
+use pscc_core::{dense_components, normalize_labels};
+use pscc_graph::{contract_csr, DiGraph, V};
 
 /// The condensation of a digraph: one vertex per SCC, one arc per pair of
 /// components joined by at least one original edge. Always a DAG.
@@ -14,6 +14,9 @@ pub struct Condensation {
     pub dag: DiGraph,
     /// Number of original vertices in each component.
     pub sizes: Vec<usize>,
+    /// How many original edges contract to each arc, aligned with
+    /// `dag.out_csr().targets()`.
+    pub arc_support: Vec<u64>,
 }
 
 impl Condensation {
@@ -53,7 +56,7 @@ pub fn topo_levels_of(dag: &DiGraph, order: &[V]) -> Vec<u32> {
 }
 
 /// Contracts `g` using precomputed SCC `labels` (any label type that marks
-/// components, e.g. [`pscc_core::SccResult::labels`]).
+/// components, e.g. another algorithm's output).
 pub fn condense<T: Copy + Eq + std::hash::Hash>(g: &DiGraph, labels: &[T]) -> Condensation {
     assert_eq!(labels.len(), g.n());
     let comp_of = normalize_labels(labels);
@@ -62,15 +65,21 @@ pub fn condense<T: Copy + Eq + std::hash::Hash>(g: &DiGraph, labels: &[T]) -> Co
     for &c in &comp_of {
         sizes[c as usize] += 1;
     }
-    let mut arcs: Vec<(V, V)> = Vec::new();
-    for (u, v) in g.out_csr().edges() {
-        let (cu, cv) = (comp_of[u as usize], comp_of[v as usize]);
-        if cu != cv {
-            arcs.push((cu, cv));
-        }
-    }
-    let dag = DiGraph::from_edges(k, &arcs);
-    Condensation { comp_of, dag, sizes }
+    contract(g, comp_of, sizes)
+}
+
+/// [`condense`] for the labels of [`pscc_core::parallel_scc`] itself: their
+/// representative invariant gives the same numbering, and the sizes, by
+/// direct addressing ([`dense_components`]) — parallel, no label hashed.
+pub fn condense_scc(g: &DiGraph, labels: &[u64]) -> Condensation {
+    assert_eq!(labels.len(), g.n());
+    let (comp_of, sizes) = dense_components(labels);
+    contract(g, comp_of, sizes)
+}
+
+fn contract(g: &DiGraph, comp_of: Vec<u32>, sizes: Vec<usize>) -> Condensation {
+    let (out, arc_support) = contract_csr(g.out_csr(), None, &comp_of, sizes.len());
+    Condensation { comp_of, dag: DiGraph::from_out_csr(out), sizes, arc_support }
 }
 
 #[cfg(test)]
@@ -111,6 +120,22 @@ mod tests {
                 "condensation has a cycle (seed {seed})"
             );
         }
+    }
+
+    #[test]
+    fn kernel_labels_condense_like_any_other_labels() {
+        let g = gnm_digraph(400, 1100, 4);
+        let res = parallel_scc(&g, &SccConfig::default());
+        let (fast, generic) = (condense_scc(&g, &res.labels), condense(&g, &res.labels));
+        assert_eq!(fast.comp_of, generic.comp_of);
+        assert_eq!(fast.sizes, generic.sizes);
+        assert_eq!(fast.dag.out_csr(), generic.dag.out_csr());
+        assert_eq!(fast.arc_support, generic.arc_support);
+        let cross = g
+            .out_csr()
+            .edges()
+            .filter(|&(u, v)| fast.comp_of[u as usize] != fast.comp_of[v as usize]);
+        assert_eq!(fast.arc_support.iter().sum::<u64>(), cross.count() as u64);
     }
 
     #[test]

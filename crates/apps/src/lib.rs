@@ -22,7 +22,7 @@ pub mod sssp;
 pub mod toposort;
 pub mod twosat;
 
-pub use condensation::{condense, topo_levels_of, Condensation};
+pub use condensation::{condense, condense_scc, topo_levels_of, Condensation};
 pub use kcore::{core_numbers, core_numbers_sequential};
 pub use sssp::{dijkstra, parallel_sssp, SsspResult};
 pub use toposort::{scc_topological_order, topological_order};

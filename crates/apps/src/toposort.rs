@@ -4,18 +4,16 @@
 use pscc_core::{parallel_scc, SccConfig};
 use pscc_graph::{DiGraph, V};
 
-use crate::condensation::{condense, Condensation};
+use crate::condensation::{condense_scc, Condensation};
 
 /// Returns a topological order of `g`'s vertices, or `None` if `g` has a
 /// cycle.
 pub fn topological_order(g: &DiGraph) -> Option<Vec<V>> {
     let n = g.n();
     let mut indeg: Vec<usize> = (0..n).map(|v| g.in_degree(v as V)).collect();
-    // Self loops are cycles.
-    for v in 0..n as V {
-        if g.out_neighbors(v).contains(&v) {
-            return None;
-        }
+    // Self loops are cycles (adjacency lists are sorted).
+    if (0..n as V).any(|v| g.out_neighbors(v).binary_search(&v).is_ok()) {
+        return None;
     }
     let mut order = Vec::with_capacity(n);
     let mut queue: Vec<V> = (0..n as V).filter(|&v| indeg[v as usize] == 0).collect();
@@ -37,7 +35,7 @@ pub fn topological_order(g: &DiGraph) -> Option<Vec<V>> {
 /// rank). The classic "topological sort of a cyclic graph".
 pub fn scc_topological_order(g: &DiGraph, cfg: &SccConfig) -> (Condensation, Vec<u32>) {
     let res = parallel_scc(g, cfg);
-    let cond = condense(g, &res.labels);
+    let cond = condense_scc(g, &res.labels);
     // analyze: allow(panic): condensing an SCC labelling cannot leave a cycle
     let order = topological_order(&cond.dag).expect("condensation is a DAG by construction");
     let mut rank = vec![0u32; cond.num_components()];

@@ -18,6 +18,11 @@
 //! configured by [`config::SccConfig`] (the `plain` / `vgc1` / `final`
 //! variants of Fig. 9 are `SccConfig::plain()`, `SccConfig::vgc1()`, and
 //! `SccConfig::default()`).
+//!
+//! **Labels are representatives:** every label in [`SccResult::labels`] is
+//! `FINAL_TAG | s` for a vertex `s` of that very SCC which labels itself
+//! (see [`scc::components`]), so [`dense_components`] derives dense
+//! first-appearance component ids and sizes with no hash map.
 
 pub mod config;
 pub mod reach;
@@ -27,7 +32,9 @@ pub mod stats;
 pub mod verify;
 
 pub use config::{ReachParams, SccConfig};
-pub use scc::{parallel_scc, parallel_scc_induced, parallel_scc_with_stats, SccResult};
+pub use scc::{
+    dense_components, parallel_scc, parallel_scc_induced, parallel_scc_with_stats, SccResult,
+};
 pub use state::{SccState, FINAL_TAG};
 pub use stats::{SccStats, SearchRecord};
 pub use verify::{component_stats, normalize_labels, same_partition};

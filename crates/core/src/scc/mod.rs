@@ -8,31 +8,33 @@
 //! refreshes cross-edge-pruning signatures. Pair tables are sized with the
 //! §4.5 heuristic.
 
+pub mod components;
 pub mod label;
 pub mod trim;
 
+use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use pscc_bag::HashBag;
 use pscc_graph::{DiGraph, V};
-use pscc_runtime::{random_permutation, AtomicBits, Timer};
+use pscc_runtime::{par_count, par_max, random_permutation, AtomicBits, Timer};
 use pscc_table::{next_table_capacity, PairTable};
 
 use crate::config::SccConfig;
 use crate::reach::multi::multi_reach_in;
 use crate::reach::single::single_reach_in;
-use crate::state::SccState;
+use crate::state::{SccState, FINAL_TAG};
 use crate::stats::{SccStats, SearchRecord};
-use crate::verify::component_stats;
-
+pub use components::dense_components;
 pub use label::{label_from_multi, label_from_single, LabelScratch};
 pub use trim::trim;
 
 /// The result of an SCC computation.
 #[derive(Clone, Debug)]
 pub struct SccResult {
-    /// Per-vertex component label. Labels are arbitrary but consistent:
-    /// `labels[u] == labels[v]` iff `u` and `v` are strongly connected.
+    /// Per-vertex component label: `labels[u] == labels[v]` iff `u` and `v`
+    /// are strongly connected. The kernel's labels also satisfy the
+    /// [representative invariant](components).
     pub labels: Vec<u64>,
     /// Number of strongly connected components.
     pub num_sccs: usize,
@@ -185,8 +187,11 @@ pub fn parallel_scc_with_stats(g: &DiGraph, cfg: &SccConfig) -> (SccResult, SccS
         // allocate theirs.
         drop((ws, perm));
         let labels = state.labels_snapshot();
-        let counts = component_stats(&labels);
-        (labels, counts)
+        // A component is counted at its self-labeled representative.
+        let sizes = components::sizes_by_representative(&labels);
+        let num_sccs = par_count(n, |v| labels[v] == FINAL_TAG | v as u64);
+        let largest = par_max(n, |v| sizes[v].load(Ordering::Relaxed) as u64).unwrap_or(0);
+        (labels, (num_sccs, largest as usize))
     });
     stats.total_seconds = total.seconds();
     (SccResult { labels, num_sccs, largest_scc }, stats)
@@ -223,7 +228,7 @@ fn next_batch_size(s: usize, beta: f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify::{partition_groups, same_partition};
+    use crate::verify::{component_stats, partition_groups, same_partition};
     use pscc_graph::fixtures::{fig2_graph, fig2_sccs, two_triangles_and_isolated};
     use pscc_graph::generators::random::{gnm_digraph, gnp_digraph};
     use pscc_graph::generators::simple::{bowtie_web, cycle_digraph, dag_layers, path_digraph};

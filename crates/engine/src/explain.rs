@@ -108,11 +108,8 @@ pub struct PlanExplain {
     pub insertions: usize,
     /// Effective edge deletions in the delta.
     pub deletions: usize,
-    /// Whether the index carries an arc-support table (without one, every
-    /// deletion is unplannable).
-    pub has_support_table: bool,
-    /// How the deletions classified: `"none"`, `"metadata"`,
-    /// `"structural"`, or `"unplannable"`.
+    /// How the deletions classified: `"none"`, `"metadata"`, or
+    /// `"structural"`.
     pub deletion_class: &'static str,
     /// DAG arcs whose last direct-edge support the delta kills.
     pub dead_arcs: usize,
@@ -158,7 +155,6 @@ impl PlanExplain {
             ("chosen", self.chosen.to_string()),
             ("insertions", self.insertions.to_string()),
             ("deletions", self.deletions.to_string()),
-            ("support_table", self.has_support_table.to_string()),
             ("deletion_class", self.deletion_class.to_string()),
             ("dead_arcs", self.dead_arcs.to_string()),
             ("split_comps", self.split_comps.to_string()),
@@ -176,13 +172,12 @@ impl PlanExplain {
     /// doctor output.
     pub fn describe(&self) -> String {
         let mut out = format!(
-            "plan: {} ({} ins, {} del; support table: {})\n  inputs: deletion_class={} \
+            "plan: {} ({} ins, {} del)\n  inputs: deletion_class={} \
              dead_arcs={} split_comps={} split_vertices={} new_arcs={} cyclic_arcs={} \
              region_size={}\n  budget: max_planned_arcs={} max_region={}",
             self.chosen,
             self.insertions,
             self.deletions,
-            if self.has_support_table { "yes" } else { "no" },
             self.deletion_class,
             self.dead_arcs,
             self.split_comps,

@@ -7,19 +7,20 @@
 //! | layer | full build | partial invalidation |
 //! |---|---|---|
 //! | [`SccLayer`] | BGSS SCC over the graph | [`SccLayer::remapped`] — merge components through an old→new id map |
-//! | condensation DAG | `condense` over all edges | `DiGraph::with_delta` arc splice/unsplice, or contraction of the *old DAG* (never the graph) |
+//! | condensation DAG | `condense_scc` over all edges | `DiGraph::with_delta` arc splice/unsplice, or contraction of the *old DAG* (never the graph) |
 //! | [`LevelLayer`] | sweep in topological order | [`LevelLayer::splice`] — worklist relaxation from new arcs; [`LevelLayer::unsplice`] — exact recompute from changed-arc targets |
 //! | [`SummaryLayer`] | bitsets, 2-hop hub labels, or interval labels | [`SummaryLayer::splice_arcs`] — recompute/widen only the affected ancestors (hub labels: extend coverage over each new arc's `anc × desc` region); [`SummaryLayer::unsplice_arcs`] — same for bitsets/intervals (sound for arc removal), hub labels relabel from scratch (exact certificates are not over-approximations) |
-//! | [`SupportLayer`] | `contracted_support` over the graph | per-edge increments/decrements, id remap after merges |
+//! | [`SupportLayer`] | the condensation's own arc multiplicities (`contract_csr`) | per-edge increments/decrements, [`SupportLayer::realigned`] after an arc splice/unsplice, [`SupportLayer::contracted`] after merges |
 //!
 //! The DAG itself has no wrapper type: `DiGraph` already supports the two
 //! partial updates the repair tiers need (arc splicing via `with_delta`,
-//! and contraction by edge remapping, which is plain iterator code).
+//! and contraction through a merge map via `contract_csr`, which also
+//! carries the support counts along).
 
 use crate::explain::QueryTier;
-use pscc_graph::{DiGraph, V};
+use pscc_graph::{contract_csr, Csr, DiGraph, V};
 use pscc_runtime::SplitMix64;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeMap;
 
 /// Which descendant-summary representation an
 /// [`Index`](crate::index::Index) holds.
@@ -87,111 +88,125 @@ impl SccLayer {
 /// Intra-component edges and self loops are not tracked: deleting them
 /// can never remove a condensation arc (the SCC-split check is
 /// graph-driven instead).
-#[derive(Clone, Default)]
+///
+/// **Representation and invariants.** Arcs carry no keys: `arc_counts[i]`
+/// belongs to the `i`-th arc of the **index DAG's out-CSR**
+/// (`dag.out_csr().targets()[i]`), so a fresh build is the condensation's
+/// own run lengths, a clone is a `memcpy`, and a lookup is a binary search
+/// in `dag.out_neighbors(a)`. Every method that touches an arc takes that
+/// out-CSR, and whoever replaces the DAG realigns the counts with it:
+/// [`SupportLayer::realigned`] after an arc splice/unsplice,
+/// [`SupportLayer::contracted`] after a region merge, a fresh
+/// [`SupportLayer::new`] after an SCC split. Supported pairs that are *not*
+/// arcs live in `latent`, an ordered map every structural removal drains:
+/// `latent ∩ DAG arcs = ∅`, every stored count is positive, and the DAG
+/// witnesses every latent pair's reachability without it.
+#[derive(Clone)]
 pub(crate) struct SupportLayer {
-    /// `cross[(a, b)]` = number of graph edges `u → v` with
-    /// `comp(u) = a ≠ b = comp(v)`. Pairs with zero support are absent.
-    cross: HashMap<(u32, u32), u64>,
-    /// Supported pairs absent from the index DAG (see above). Invariant:
-    /// `latent ⊆ cross.keys()`, and every latent pair's reachability is
-    /// witnessed by the current DAG without it.
-    latent: BTreeSet<(u32, u32)>,
+    arc_counts: Vec<u64>,
+    latent: BTreeMap<(u32, u32), u64>,
 }
 
 impl SupportLayer {
-    /// Full build from the indexed graph and its component labeling. A
-    /// fresh condensation carries every supported pair as a real arc, so
-    /// the latent set starts empty.
-    pub fn build(graph: &DiGraph, comp_of: &[u32]) -> SupportLayer {
-        SupportLayer {
-            cross: pscc_graph::contracted_support(graph.out_csr(), comp_of),
-            latent: BTreeSet::new(),
-        }
+    /// The table of a DAG whose every supported pair is an arc.
+    pub fn new(arc_counts: Vec<u64>) -> SupportLayer {
+        SupportLayer { arc_counts, latent: BTreeMap::new() }
+    }
+
+    /// Position of arc `a → b` in `dag`'s target array, if it is an arc.
+    fn arc_slot(dag: &Csr, (a, b): (u32, u32)) -> Option<usize> {
+        dag.neighbors(a).binary_search(&b).ok().map(|i| dag.offsets()[a as usize] as usize + i)
     }
 
     /// Direct-edge multiplicity of the pair (0 when untracked).
-    pub fn support(&self, pair: (u32, u32)) -> u64 {
-        self.cross.get(&pair).copied().unwrap_or(0)
+    pub fn support(&self, dag: &Csr, pair: (u32, u32)) -> u64 {
+        match Self::arc_slot(dag, pair) {
+            Some(slot) => self.arc_counts[slot],
+            None => self.latent.get(&pair).copied().unwrap_or(0),
+        }
     }
 
     /// True if the pair is supported but absent from the DAG.
     pub fn is_latent(&self, pair: (u32, u32)) -> bool {
-        self.latent.contains(&pair)
+        self.latent.contains_key(&pair)
     }
 
-    /// Records one inserted cross-component edge. `is_dag_arc` says
-    /// whether the pair is an arc of the index DAG *after* this delta's
-    /// repair — a newly supported pair that is not becomes latent.
-    pub fn record_insert(&mut self, pair: (u32, u32), is_dag_arc: bool) {
-        let count = self.cross.entry(pair).or_insert(0);
-        *count += 1;
-        if *count == 1 && !is_dag_arc {
-            self.latent.insert(pair);
+    /// Records one inserted cross-component edge against `dag`, the DAG
+    /// *after* this delta's repair: a pair that is no arc of it is latent.
+    pub fn record_insert(&mut self, dag: &Csr, pair: (u32, u32)) {
+        match Self::arc_slot(dag, pair) {
+            Some(slot) => self.arc_counts[slot] += 1,
+            None => *self.latent.entry(pair).or_insert(0) += 1,
         }
     }
 
-    /// Records one deleted cross-component edge; a pair decremented to
-    /// zero support leaves the table (and the latent set). Returns the
-    /// remaining support.
-    pub fn record_delete(&mut self, pair: (u32, u32)) -> u64 {
-        match self.cross.get_mut(&pair) {
-            Some(count) if *count > 1 => {
-                *count -= 1;
-                *count
-            }
-            Some(_) => {
-                self.cross.remove(&pair);
+    /// Records one deleted cross-component edge. A latent pair decremented
+    /// to zero leaves the table; an arc decremented to zero is dead, and
+    /// the caller unsplices it before the table is served.
+    pub fn record_delete(&mut self, dag: &Csr, pair: (u32, u32)) {
+        if let Some(slot) = Self::arc_slot(dag, pair) {
+            debug_assert!(self.arc_counts[slot] > 0, "deleting an unsupported arc {pair:?}");
+            self.arc_counts[slot] = self.arc_counts[slot].saturating_sub(1);
+        } else if let Some(count) = self.latent.get_mut(&pair) {
+            *count -= 1;
+            if *count == 0 {
                 self.latent.remove(&pair);
-                0
             }
-            None => {
-                debug_assert!(false, "deleting an unsupported cross pair {pair:?}");
-                0
-            }
+        } else {
+            debug_assert!(false, "deleting an unsupported cross pair {pair:?}");
         }
     }
 
-    /// Sets the multiplicity of a pair known to be a real DAG arc (bulk
-    /// table reconstruction after an SCC split; never touches the latent
-    /// set).
-    pub fn set_arc_support(&mut self, pair: (u32, u32), count: u64) {
-        debug_assert!(count > 0, "supported pairs have positive multiplicity");
-        self.cross.insert(pair, count);
+    /// Every latent pair, for the arc-unsplice tier to splice into the DAG.
+    pub fn latent_pairs(&self) -> Vec<(u32, u32)> {
+        self.latent.keys().copied().collect()
     }
 
-    /// Removes and returns every latent pair — the arc-unsplice and
-    /// SCC-split tiers splice them all into the DAG, restoring the
-    /// "every supported pair is an arc" state of a fresh build.
-    pub fn drain_latent(&mut self) -> Vec<(u32, u32)> {
-        std::mem::take(&mut self.latent).into_iter().collect()
-    }
-
-    /// Partial invalidation after a region merge: pushes every pair
-    /// through `map` (old → new component ids), summing multiplicities
-    /// and dropping pairs whose endpoints merged (their edges became
-    /// intra-component). Latent pairs are re-checked against `dag` (the
-    /// *new* condensation): a contraction can have turned a formerly
-    /// latent pair into a real arc.
-    pub fn remapped(&self, map: &[u32], dag: &DiGraph) -> SupportLayer {
-        let mut cross: HashMap<(u32, u32), u64> = HashMap::with_capacity(self.cross.len());
-        for (&(a, b), &count) in &self.cross {
-            let (na, nb) = (map[a as usize], map[b as usize]);
-            if na != nb {
-                *cross.entry((na, nb)).or_insert(0) += count;
+    /// The same table aligned with `new`, the out-CSR that replaces `old`
+    /// after an arc splice/unsplice: surviving arcs keep their counts, a
+    /// new arc takes its latent count (leaving the latent set) or starts at
+    /// zero for the caller's `record_insert`s, removed arcs drop out.
+    pub fn realigned(&self, old: &Csr, new: &Csr) -> SupportLayer {
+        let mut latent = self.latent.clone();
+        let mut arc_counts = Vec::with_capacity(new.m());
+        for a in 0..new.n() as u32 {
+            let (kept, first) = (old.neighbors(a), old.offsets()[a as usize] as usize);
+            let mut i = 0usize;
+            for &b in new.neighbors(a) {
+                while i < kept.len() && kept[i] < b {
+                    i += 1;
+                }
+                arc_counts.push(match kept.get(i) {
+                    Some(&kept_b) if kept_b == b => self.arc_counts[first + i],
+                    _ => latent.remove(&(a, b)).unwrap_or(0),
+                });
             }
         }
-        let latent = self
-            .latent
-            .iter()
-            .map(|&(a, b)| (map[a as usize], map[b as usize]))
-            .filter(|&(na, nb)| na != nb && dag.out_neighbors(na).binary_search(&nb).is_err())
-            .collect();
-        SupportLayer { cross, latent }
+        SupportLayer { arc_counts, latent }
+    }
+
+    /// Partial invalidation after a region merge: contracts `dag` (the
+    /// out-CSR this table is aligned with) through `map` (old → new ids
+    /// over `k_new` components). Multiplicities of merging arcs sum, pairs
+    /// whose endpoints merged drop out, and a latent pair that became a real
+    /// arc hands it its count. Returns the contracted out-CSR and its table.
+    pub fn contracted(&self, dag: &Csr, map: &[u32], k_new: usize) -> (Csr, SupportLayer) {
+        let (out, arc_counts) = contract_csr(dag, Some(&self.arc_counts), map, k_new);
+        let mut merged = SupportLayer::new(arc_counts);
+        for (&(a, b), &count) in &self.latent {
+            let pair = (map[a as usize], map[b as usize]);
+            match Self::arc_slot(&out, pair) {
+                Some(slot) => merged.arc_counts[slot] += count,
+                None if pair.0 != pair.1 => *merged.latent.entry(pair).or_insert(0) += count,
+                None => {} // the endpoints merged
+            }
+        }
+        (out, merged)
     }
 
     /// Number of distinct supported cross-component pairs.
     pub fn supported_pairs(&self) -> usize {
-        self.cross.len()
+        self.arc_counts.len() + self.latent.len()
     }
 
     /// Number of latent pairs.
@@ -199,9 +214,11 @@ impl SupportLayer {
         self.latent.len()
     }
 
-    /// Iterates `(pair, multiplicity)` entries (unordered).
-    pub fn entries(&self) -> impl Iterator<Item = ((u32, u32), u64)> + '_ {
-        self.cross.iter().map(|(&p, &c)| (p, c))
+    /// Iterates `(pair, multiplicity)`: the arcs of `dag` in CSR order,
+    /// then the latent pairs in ascending order.
+    pub fn entries<'a>(&'a self, dag: &'a Csr) -> impl Iterator<Item = ((u32, u32), u64)> + 'a {
+        let arcs = dag.edges().zip(self.arc_counts.iter().copied());
+        arcs.chain(self.latent.iter().map(|(&p, &c)| (p, c)))
     }
 }
 
@@ -318,7 +335,8 @@ pub(crate) struct LabelLayer {
 impl LabelLayer {
     /// Full pruned-landmark build. Returns `None` when the total label
     /// footprint would exceed `budget_bytes` — the caller falls back to
-    /// the interval tier.
+    /// the interval tier. Sequential: at 0.31 s on the benchmark's
+    /// `serve-fresh` graph it is the largest row left in the index build.
     pub fn build(dag: &DiGraph, budget_bytes: usize) -> Option<LabelLayer> {
         let k = dag.n();
         // Fixed overhead: rank_of + both offset arrays, 4 bytes each.
@@ -1063,6 +1081,57 @@ mod tests {
         let merged = layer.remapped(&[0, 1, 1, 2], 3);
         assert_eq!(merged.comp_of, vec![0, 0, 1, 1, 2]);
         assert_eq!(merged.sizes, vec![2, 2, 1]);
+    }
+
+    /// A table over `arcs` (with counts) plus latent pairs, built through
+    /// the public moves: every latent pair is recorded as an insert.
+    fn support_of(dag: &DiGraph, counts: &[u64], latent: &[((u32, u32), u64)]) -> SupportLayer {
+        let mut support = SupportLayer::new(counts.to_vec());
+        for &(pair, count) in latent {
+            (0..count).for_each(|_| support.record_insert(dag.out_csr(), pair));
+        }
+        support
+    }
+
+    #[test]
+    fn support_realign_moves_latent_counts_onto_new_arcs_and_drops_dead_ones() {
+        let dag = dag_of(&[(0, 1), (1, 2), (2, 3)], 4);
+        let mut support = support_of(&dag, &[2, 1, 4], &[((0, 2), 3), ((0, 3), 1)]);
+        assert_eq!(support.support(dag.out_csr(), (0, 2)), 3);
+        assert!(support.is_latent((0, 3)) && !support.is_latent((0, 1)));
+        // Delete the only (1, 2) edge and the latent (0, 3): the arc is
+        // dead (count 0, still aligned), the latent pair leaves the table.
+        support.record_delete(dag.out_csr(), (1, 2));
+        support.record_delete(dag.out_csr(), (0, 3));
+        assert_eq!(support.latent_pairs(), vec![(0, 2)]);
+        // Unsplice (1, 2) and splice in the surviving latent pair, plus a
+        // brand-new arc (1, 3) whose edges the caller records afterwards.
+        let next = dag.with_delta(&[(0, 2), (1, 3)], &[(1, 2)]);
+        let aligned = support.realigned(dag.out_csr(), next.out_csr());
+        let rows: Vec<_> = aligned.entries(next.out_csr()).collect();
+        assert_eq!(rows, vec![((0, 1), 2), ((0, 2), 3), ((1, 3), 0), ((2, 3), 4)]);
+        assert_eq!(aligned.latent_arcs(), 0);
+    }
+
+    #[test]
+    fn support_contraction_sums_merged_arcs_and_folds_latent_pairs() {
+        let dag = dag_of(&[(0, 1), (0, 2), (1, 2), (3, 4)], 6);
+        let latent = [((0, 4), 7), ((1, 4), 2), ((4, 5), 1), ((0, 3), 3)];
+        let support = support_of(&dag, &[2, 5, 1, 4], &latent);
+        // Merge {1, 2} and {4, 5}; 3 keeps to itself.
+        let map = [0, 1, 1, 2, 3, 3];
+        let (out, merged) = support.contracted(dag.out_csr(), &map, 4);
+        assert_eq!(&out, dag_of(&[(0, 1), (2, 3)], 4).out_csr());
+        // (0,1)+(0,2) sum; (1,2) and the latent (4,5) became intra-component;
+        // latent (0,4) and (1,4) stay latent under their new ids; latent
+        // (0,3) keeps its id and stays latent too.
+        let rows: Vec<_> = merged.entries(&out).collect();
+        assert_eq!(rows, vec![((0, 1), 7), ((2, 3), 4), ((0, 2), 3), ((0, 3), 7), ((1, 3), 2)]);
+        // A latent pair the contraction turns into a real arc hands it its
+        // count: merge 3 into 0's side so (0, 4) lands on arc (3, 4).
+        let (out, merged) = support.contracted(dag.out_csr(), &[0, 1, 2, 0, 3, 4], 5);
+        assert_eq!(merged.support(&out, (0, 3)), 4 + 7);
+        assert!(!merged.is_latent((0, 3)) && merged.is_latent((1, 3)));
     }
 
     /// One forcing config per summary tier, for the three-way test loops.

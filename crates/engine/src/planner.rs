@@ -71,8 +71,8 @@
 //!    holds together leaves the index untouched). The graph is never
 //!    re-traversed beyond the affected members' adjacency.
 //! 7. **Cost-bounded fallback** ([`RepairPlan::FullRebuild`]) — deltas
-//!    mixing structural deletions with insertions, indexes without a
-//!    support table, deltas with more distinct new/dead arcs than the
+//!    mixing structural deletions with insertions, deltas with more
+//!    distinct new/dead arcs than the
 //!    planner budget, and merge regions or split components past
 //!    [`RepairBudget::max_region`] all fall back to the catalog's
 //!    off-lock full rebuild: past that size, a localized repair would not
@@ -134,9 +134,7 @@ impl RepairBudget {
 pub enum RebuildReason {
     /// The delta mixes a *structural* deletion (a dead DAG arc or a
     /// possible SCC split) with insertions — the deletion tiers are
-    /// proven for pure-deletion deltas only — or the index carries no
-    /// arc-support table to classify deletions against (it was built
-    /// from a bare condensation, never seeing the graph).
+    /// proven for pure-deletion deltas only.
     Deletion,
     /// More distinct new (or dead) condensation arcs than
     /// [`RepairBudget::max_planned_arcs`].
@@ -250,7 +248,6 @@ pub fn plan_repair_explained(
         max_region: budget.max_region(index.num_components()),
         ..PlanExplain::default()
     };
-    ex.has_support_table = index.support_table().is_some();
     let plan = plan_repair_inner(index, ins, del, budget, &mut ex);
     ex.chosen = plan.tier_name();
     span.set_attr("tier", plan.tier_name());
@@ -272,11 +269,6 @@ fn plan_repair_inner(
             // as if the delta held no deletions.
             DeletionClass::Metadata => {
                 ex.deletion_class = "metadata";
-            }
-            DeletionClass::Unplannable => {
-                ex.deletion_class = "unplannable";
-                ex.reject("absorb", "no arc-support table to classify deletions against");
-                return RepairPlan::FullRebuild { reason: RebuildReason::Deletion };
             }
             DeletionClass::Structural { dead_arcs, splits } => {
                 ex.deletion_class = "structural";
@@ -382,17 +374,12 @@ enum DeletionClass {
     /// Some deletions change the index: DAG arcs whose support hit zero
     /// and/or components an intra-SCC deletion may split.
     Structural { dead_arcs: Vec<(u32, u32)>, splits: Vec<u32> },
-    /// The index has no arc-support table to classify against.
-    Unplannable,
 }
 
 /// Classifies the effective deletions `del` against `index`'s arc-support
 /// table (see the [module docs](self), tiers 4–6).
 fn classify_deletions(index: &Index, del: &[(V, V)]) -> DeletionClass {
-    let guard = index.support_table();
-    let Some(support) = guard.as_ref() else {
-        return DeletionClass::Unplannable;
-    };
+    let support = index.support_table();
     let mut splits: Vec<u32> = Vec::new();
     let mut pending: std::collections::HashMap<(u32, u32), u64> = std::collections::HashMap::new();
     for &(u, v) in del {
@@ -412,7 +399,7 @@ fn classify_deletions(index: &Index, del: &[(V, V)]) -> DeletionClass {
     splits.dedup();
     let mut dead_arcs: Vec<(u32, u32)> = Vec::new();
     for (&pair, &deleted) in &pending {
-        let have = support.support(pair);
+        let have = support.support(index.dag().out_csr(), pair);
         debug_assert!(have >= deleted, "deleting more edges than pair {pair:?} supports");
         if have <= deleted && !support.is_latent(pair) {
             // The pair's last direct edge is going away and it is a real
@@ -589,14 +576,18 @@ mod tests {
     }
 
     #[test]
-    fn index_without_a_support_table_prices_deletions_out() {
-        // An index from a bare condensation never saw the graph.
-        let g = DiGraph::from_edges(3, &[(0, 1), (1, 2)]);
+    fn index_from_a_bare_condensation_plans_deletions_like_any_other() {
+        // The condensation carries the arc multiplicities, so the index
+        // never has to see the graph: (0, 2) has two supports, (2, 3) one.
+        let g = DiGraph::from_edges(4, &[(0, 1), (1, 0), (0, 2), (1, 2), (2, 3)]);
         let scc = parallel_scc(&g, &SccConfig::default());
         let cond = pscc_apps::condense(&g, &scc.labels);
         let idx = Index::from_condensation(cond, &crate::IndexConfig::default());
-        let plan = plan_repair(&idx, &[], &[(1, 2)], &RepairBudget::default());
-        assert_eq!(plan, RepairPlan::FullRebuild { reason: RebuildReason::Deletion });
+        assert_eq!(idx.stats().supported_pairs, 2);
+        let plan = plan_repair(&idx, &[], &[(0, 2)], &RepairBudget::default());
+        assert_eq!(plan, RepairPlan::Absorb, "a parallel support survives");
+        let plan = plan_repair(&idx, &[], &[(2, 3)], &RepairBudget::default());
+        assert_eq!(plan, RepairPlan::ArcUnsplice { arcs: vec![(idx.comp(2), idx.comp(3))] });
     }
 
     #[test]
@@ -700,7 +691,6 @@ mod tests {
         let idx = index_of(3, &[(0, 1), (1, 2)]);
         let (plan, ex) = plan_repair_explained(&idx, &[], &[(1, 2)], &RepairBudget::default());
         assert_eq!(plan, RepairPlan::ArcUnsplice { arcs: vec![(idx.comp(1), idx.comp(2))] });
-        assert!(ex.has_support_table);
         assert_eq!(ex.deletion_class, "structural");
         assert_eq!(ex.dead_arcs, 1);
         assert_eq!(ex.split_comps, 0);

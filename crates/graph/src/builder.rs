@@ -129,28 +129,98 @@ pub fn merge_csr(base: &Csr, insertions: &[(V, V)], deletions: &[(V, V)]) -> Csr
     Csr::from_parts(offsets, targets)
 }
 
-/// Multiplicity of every *contracted* cross-label edge of `csr`: how many
-/// edges `u → v` map to each ordered pair `(labels[u], labels[v])` with
-/// distinct labels (same-label edges and self loops contribute nothing).
+/// Contracts `g` through `labels` (dense ids in `0..k`): the CSR with one
+/// arc per ordered pair of **distinct** labels joined by an edge — exactly
+/// [`build_csr`] of the contracted edge list — plus each arc's multiplicity,
+/// aligned with the result's `targets()`: the number of edges mapping to
+/// the pair or, given `weights` (aligned with `g.targets()`), the sum of
+/// their weights, which re-contracts a contraction through a merge map.
 ///
-/// This is the arc-support table of a condensation: an arc of the
-/// contracted graph exists iff its pair has a non-zero count, and deleting
-/// a single edge can only remove the arc when its count reaches zero —
-/// which is what lets batched updates ([`merge_csr`] /
-/// `DiGraph::with_delta`) classify most deletions as metadata-only
-/// decrements instead of structural repairs. Callers keep the table in
-/// lockstep with the deltas they merge: `+1` per inserted cross-label
-/// edge, `-1` per deleted one.
-pub fn contracted_support(csr: &Csr, labels: &[u32]) -> std::collections::HashMap<(u32, u32), u64> {
-    assert_eq!(labels.len(), csr.n(), "one label per vertex");
-    let mut support = std::collections::HashMap::new();
-    for (u, v) in csr.edges() {
-        let (a, b) = (labels[u as usize], labels[v as usize]);
-        if a != b {
-            *support.entry((a, b)).or_insert(0u64) += 1;
+/// The multiplicities are a condensation's arc-support table: deleting an
+/// edge removes its arc only when the count reaches zero. Cross arcs are
+/// extracted by a parallel count → scan → scatter, sorted in parallel and
+/// run-length merged.
+pub fn contract_csr(g: &Csr, weights: Option<&[u64]>, labels: &[u32], k: usize) -> (Csr, Vec<u64>) {
+    assert_eq!(labels.len(), g.n(), "one label per vertex");
+    match weights {
+        None => {
+            let mut arcs = cross_arcs(g, labels, |a, b, _| (a as u64) << 32 | b as u64);
+            pscc_runtime::par_sort_unstable(&mut arcs);
+            csr_from_runs(k, &arcs, |&key| (((key >> 32) as V, key as V), 1))
+        }
+        Some(w) => {
+            assert_eq!(w.len(), g.m(), "one weight per edge");
+            csr_from_weighted_arcs(k, cross_arcs(g, labels, |a, b, i| ((a, b), w[i])))
         }
     }
-    support
+}
+
+/// The `k`-vertex CSR of a weighted arc list in any order, repeated arcs'
+/// weights summed into one multiplicity per arc (aligned with `targets()`).
+pub fn csr_from_weighted_arcs(k: usize, mut arcs: Vec<((V, V), u64)>) -> (Csr, Vec<u64>) {
+    pscc_runtime::par_sort_unstable(&mut arcs);
+    csr_from_runs(k, &arcs, |&arc| arc)
+}
+
+/// `make(labels[u], labels[v], edge index)` for every edge `u → v` of `csr`
+/// whose endpoints carry different labels, in edge order.
+fn cross_arcs<T: Copy + Send + Sync>(
+    csr: &Csr,
+    labels: &[u32],
+    make: impl Fn(u32, u32, usize) -> T + Sync,
+) -> Vec<T> {
+    let n = csr.n();
+    let crosses = |u: usize, v: V| labels[v as usize] != labels[u];
+    let mut starts: Vec<u64> = pscc_runtime::tabulate(n, |u| {
+        csr.neighbors(u as V).iter().filter(|&&v| crosses(u, v)).count() as u64
+    });
+    let total = pscc_runtime::scan_exclusive(&mut starts) as usize;
+    let mut out: Vec<T> = Vec::with_capacity(total);
+    let (ptr, starts) = (SendPtr(out.as_mut_ptr()), &starts);
+    pscc_runtime::par_range(0..n, 1024, &|r| {
+        for u in r {
+            let (first, mut pos) = (csr.offsets()[u] as usize, starts[u] as usize);
+            for (i, &v) in csr.neighbors(u as V).iter().enumerate().filter(|e| crosses(u, *e.1)) {
+                // SAFETY: pos walks vertex u's exclusive segment, its
+                // cross degree past starts[u]; the scan of those degrees
+                // sized the buffer, so segments tile it without overlap.
+                unsafe { ptr.get().add(pos).write(make(labels[u], labels[v as usize], first + i)) };
+                pos += 1;
+            }
+        }
+    });
+    // SAFETY: counting and scattering apply the same predicate to the same
+    // immutable inputs, so exactly the first `total` slots are initialized.
+    unsafe { out.set_len(total) };
+    out
+}
+
+/// The CSR of a **sorted** arc list (`entry` = arc and weight): each run of
+/// equal arcs becomes one arc carrying the run's total weight.
+fn csr_from_runs<T: Sync>(
+    k: usize,
+    sorted: &[T],
+    entry: impl Fn(&T) -> ((V, V), u64) + Sync,
+) -> (Csr, Vec<u64>) {
+    let arc = |i: usize| entry(&sorted[i]).0;
+    let distinct = pscc_runtime::par_count(sorted.len(), |i| i == 0 || arc(i) != arc(i - 1));
+    let mut offsets = vec![0u64; k + 1];
+    let (mut targets, mut counts) = (Vec::with_capacity(distinct), Vec::with_capacity(distinct));
+    for (i, t) in sorted.iter().enumerate() {
+        let ((a, b), w) = entry(t);
+        if i > 0 && arc(i - 1) == (a, b) {
+            counts[targets.len() - 1] += w;
+        } else {
+            assert!((a as usize) < k && (b as usize) < k, "arc {a} -> {b} out of range (k={k})");
+            offsets[a as usize + 1] += 1;
+            targets.push(b);
+            counts.push(w);
+        }
+    }
+    for c in 0..k {
+        offsets[c + 1] += offsets[c];
+    }
+    (Csr::from_parts(offsets, targets), counts)
 }
 
 /// Emits the sorted union of `nb` and `ins` minus the members of `del`
@@ -181,8 +251,8 @@ fn merge_adjacency(nb: &[V], ins: &[(V, V)], del: &[(V, V)], mut emit: impl FnMu
 
 /// Raw-pointer wrapper letting disjoint parallel writers share one buffer.
 struct SendPtr<T>(*mut T);
-// SAFETY: SendPtr is only handed to the two per-vertex passes above,
-// where every task writes a disjoint slot or segment.
+// SAFETY: SendPtr is only handed to the per-vertex passes above, where
+// every task writes a disjoint slot or segment.
 unsafe impl<T> Sync for SendPtr<T> {}
 // SAFETY: see Sync above — plain memory, no thread affinity.
 unsafe impl<T> Send for SendPtr<T> {}
@@ -195,6 +265,7 @@ impl<T> SendPtr<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     #[test]
     fn builds_sorted_adjacency() {
@@ -319,28 +390,82 @@ mod tests {
         }
     }
 
-    #[test]
-    fn contracted_support_counts_cross_label_multiplicities() {
-        // Labels: {0,1} -> 0, {2} -> 1, {3} -> 2.
-        let labels = vec![0u32, 0, 1, 2];
-        let g = build_csr(4, &[(0, 1), (1, 0), (0, 2), (1, 2), (2, 3), (3, 3)]);
-        let support = contracted_support(&g, &labels);
-        // Intra-label edges (0,1), (1,0) and the self loop (3,3) vanish;
-        // the two parallel supports of (0 -> 1) are both counted.
-        assert_eq!(support.len(), 2);
-        assert_eq!(support[&(0, 1)], 2);
-        assert_eq!(support[&(1, 2)], 1);
+    /// The hash-map recount [`contract_csr`] replaced, kept as its oracle.
+    fn contracted_support(csr: &Csr, labels: &[u32]) -> HashMap<(u32, u32), u64> {
+        let mut support = HashMap::new();
+        for (u, v) in csr.edges() {
+            let (a, b) = (labels[u as usize], labels[v as usize]);
+            if a != b {
+                *support.entry((a, b)).or_insert(0u64) += 1;
+            }
+        }
+        support
+    }
+
+    /// `(pair, multiplicity)` entries of a contraction, as an oracle-shaped map.
+    fn entries((csr, counts): &(Csr, Vec<u64>)) -> HashMap<(u32, u32), u64> {
+        csr.edges().zip(counts.iter().copied()).collect()
     }
 
     #[test]
-    fn contracted_support_stays_in_lockstep_with_merge() {
+    fn contraction_counts_cross_label_multiplicities() {
+        // Labels: {0,1} -> 0, {2} -> 1, {3} -> 2.
+        let labels = vec![0u32, 0, 1, 2];
+        let g = build_csr(4, &[(0, 1), (1, 0), (0, 2), (1, 2), (2, 3), (3, 3)]);
+        let (dag, counts) = contract_csr(&g, None, &labels, 3);
+        // Intra-label edges (0,1), (1,0) and the self loop (3,3) vanish;
+        // the two parallel supports of (0 -> 1) are both counted.
+        assert_eq!(dag, build_csr(3, &[(0, 1), (1, 2)]));
+        assert_eq!(counts, vec![2, 1]);
+    }
+
+    #[test]
+    fn contraction_stays_in_lockstep_with_merge() {
         let labels = vec![0u32, 0, 1];
         let base = build_csr(3, &[(0, 2), (1, 2)]);
         let merged = merge_csr(&base, &[], &[(1, 2)]);
-        let mut support = contracted_support(&base, &labels);
+        let (_, mut counts) = contract_csr(&base, None, &labels, 2);
         // The caller-side decrement matches a recount over the merged CSR.
-        *support.get_mut(&(0, 1)).unwrap() -= 1;
-        assert_eq!(support, contracted_support(&merged, &labels));
+        counts[0] -= 1;
+        assert_eq!(counts, contract_csr(&merged, None, &labels, 2).1);
+    }
+
+    #[test]
+    fn contraction_matches_the_hash_map_oracle_and_recontracts_with_weights() {
+        use pscc_runtime::SplitMix64;
+        let (n, k) = (2000usize, 300usize);
+        let mut rng = SplitMix64::new(0xc0a7);
+        let edges: Vec<(V, V)> = (0..30_000)
+            .map(|_| (rng.next_below(n as u64) as V, rng.next_below(n as u64) as V))
+            .collect();
+        let g = build_csr(n, &edges);
+        let labels: Vec<u32> = (0..n).map(|_| rng.next_below(k as u64) as u32).collect();
+        let first = contract_csr(&g, None, &labels, k);
+        let oracle = contracted_support(&g, &labels);
+        assert_eq!(entries(&first), oracle);
+        let arcs: Vec<(V, V)> = oracle.keys().copied().collect();
+        assert_eq!(first.0, build_csr(k, &arcs));
+        // Merging labels once more through a map equals contracting the
+        // graph through the composed labeling.
+        let map: Vec<u32> = (0..k).map(|_| rng.next_below(40) as u32).collect();
+        let composed: Vec<u32> = labels.iter().map(|&l| map[l as usize]).collect();
+        let again = contract_csr(&first.0, Some(&first.1), &map, 40);
+        assert_eq!(entries(&again), contracted_support(&g, &composed));
+        assert_eq!(again.0, contract_csr(&g, None, &composed, 40).0);
+    }
+
+    #[test]
+    fn weighted_arc_list_sums_repeats() {
+        let (csr, counts) =
+            csr_from_weighted_arcs(3, vec![((2, 0), 4), ((0, 1), 1), ((2, 0), 3), ((0, 2), 5)]);
+        assert_eq!(csr, build_csr(3, &[(0, 1), (0, 2), (2, 0)]));
+        assert_eq!(counts, vec![1, 5, 7]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn contraction_rejects_labels_out_of_range() {
+        let _ = contract_csr(&build_csr(2, &[(0, 1)]), None, &[0, 5], 2);
     }
 
     #[test]

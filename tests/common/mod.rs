@@ -27,3 +27,26 @@ pub fn bfs_reaches(g: &DiGraph, u: V, v: V) -> bool {
     }
     false
 }
+
+/// The served index's arc-support table must equal a from-scratch recount
+/// of `edges` (the merged graph) under the served component ids: same
+/// pairs, same multiplicities, every non-latent row a DAG arc and no
+/// latent row one.
+pub fn assert_support_in_lockstep(index: &ReachIndex, edges: &[(V, V)], ctx: &str) {
+    let mut recount: std::collections::BTreeMap<(u32, u32), u64> = Default::default();
+    for &(u, v) in edges {
+        let pair = (index.comp(u), index.comp(v));
+        if pair.0 != pair.1 {
+            *recount.entry(pair).or_insert(0) += 1;
+        }
+    }
+    let rows = index.support_entries();
+    let mut served: std::collections::BTreeMap<(u32, u32), u64> = Default::default();
+    for &((a, b), count, latent) in &rows {
+        let is_arc = index.dag().out_neighbors(a).binary_search(&b).is_ok();
+        assert_ne!(is_arc, latent, "{ctx}: pair ({a}, {b}) arc={is_arc} latent={latent}");
+        assert!(served.insert((a, b), count).is_none(), "{ctx}: pair ({a}, {b}) listed twice");
+    }
+    assert_eq!(rows.len() - index.stats().latent_arcs, index.dag().m(), "{ctx}: arc rows");
+    assert_eq!(served, recount, "{ctx}: support table diverged from a recount");
+}

@@ -159,6 +159,10 @@ pub fn replay_against_oracle(
                 );
             }
         }
+        if catalog.is_indexed("g") {
+            let index = catalog.index("g").expect("registered");
+            super::assert_support_in_lockstep(&index, &edge_list, &ctx);
+        }
     }
     tally
 }

@@ -12,6 +12,11 @@
 //! 3. **proptest fuzz** of deletion-heavy delta sequences against a BFS
 //!    oracle after every step.
 //!
+//! All three also hold the served index's **arc-support table** in
+//! lockstep after every applied delta (`assert_support_in_lockstep`):
+//! arcs ∪ latent pairs equal a from-scratch recount of the merged graph
+//! under the served component ids, and no latent pair is a DAG arc.
+//!
 //! A durable variant replays delete-bearing deltas through a store
 //! write-ahead log and `Catalog::open`, proving recovery takes the same
 //! tiered path (this test is also wired into CI's persistence-smoke
@@ -27,8 +32,8 @@ use std::collections::BTreeSet;
 type EdgePair = (Vec<(V, V)>, Vec<(V, V)>);
 
 mod common;
-use common::bfs_reaches;
 use common::scenarios::{replay_against_oracle, scenario_suite, OutcomeTally};
+use common::{assert_support_in_lockstep, bfs_reaches};
 
 fn interval_cfg() -> EngineIndexConfig {
     EngineIndexConfig { bitset_budget_bytes: 0, ..EngineIndexConfig::default() }
@@ -199,6 +204,8 @@ fn random_mixed_sequences_cover_all_deletion_tiers() {
                     );
                 }
             }
+            let served = catalog.index("g").expect("registered");
+            assert_support_in_lockstep(&served, &edge_list, &format!("seed {seed} step {step}"));
         }
     }
     assert!(outcomes.absorbed_deletions > 0, "support-decrement deletions never taken");
@@ -344,6 +351,8 @@ mod fuzz {
                         );
                     }
                 }
+                let served = catalog.index("g").unwrap();
+                assert_support_in_lockstep(&served, &edge_list, "fuzz");
             }
         }
     }

@@ -3,14 +3,29 @@
 //! one run, into the next: consecutive runs in one process — whole-graph
 //! and induced, narrow and oversubscribed — must all agree with Tarjan.
 //!
+//! Every run must also keep the **representative invariant** the hash-free
+//! condensation addresses by: a label is `FINAL_TAG | s` for a vertex `s`
+//! that carries the very same label (so, the partition being right, a
+//! member of that SCC), and the kernel's `num_sccs` / `largest_scc`, now
+//! counted through it, equal the generic hash-map `component_stats`.
+//!
 //! Release-only: CI runs this file in its `cargo test --release` step.
 
 use parallel_scc::graph::generators::lattice::lattice_sqr;
 use parallel_scc::graph::generators::rmat::rmat_digraph;
 use parallel_scc::graph::SubgraphView;
 use parallel_scc::prelude::*;
-use parallel_scc::scc::parallel_scc_induced;
-use parallel_scc::scc::verify::same_partition;
+use parallel_scc::scc::verify::{component_stats, same_partition};
+use parallel_scc::scc::{parallel_scc_induced, FINAL_TAG};
+
+fn assert_representatives(labels: &[u64], ctx: &str) {
+    for (v, &label) in labels.iter().enumerate() {
+        assert_ne!(label & FINAL_TAG, 0, "{ctx}: vertex {v} carries no final label");
+        let rep = (label & !FINAL_TAG) as usize;
+        assert!(rep < labels.len(), "{ctx}: vertex {v} names {rep}, not a vertex");
+        assert_eq!(labels[rep], label, "{ctx}: vertex {v}'s representative labels something else");
+    }
+}
 
 fn run_twice_then_induced(g: &DiGraph, name: &str) {
     let want = tarjan_scc(g);
@@ -23,10 +38,14 @@ fn run_twice_then_induced(g: &DiGraph, name: &str) {
         with_threads(width, || {
             for run in 0..2 {
                 let got = parallel_scc(g, &cfg);
-                assert!(same_partition(&got.labels, &want), "{name} width {width} run {run}");
+                let ctx = format!("{name} width {width} run {run}");
+                assert!(same_partition(&got.labels, &want), "{ctx}");
+                assert_representatives(&got.labels, &ctx);
+                assert_eq!((got.num_sccs, got.largest_scc), component_stats(&got.labels), "{ctx}");
             }
             let got = parallel_scc_induced(g, &vertices, &arcs, &cfg);
             assert!(same_partition(&got, &want_induced), "{name} width {width} induced");
+            assert_representatives(&got, &format!("{name} width {width} induced"));
         });
     }
 }
