@@ -12,23 +12,24 @@
 //! 3. pair tables start small and grow by rehash-copying, instead of the
 //!    §4.5 `max(0.3 b, 1.5 a)` estimate.
 //!
-//! The driver structure (trim → first SCC → prefix-doubling batches →
-//! labeling) is shared with `pscc-core`, so any timing difference comes
-//! from the reachability internals — mirroring the paper's "our framework
-//! is similar to GBBS's" comparison methodology.
+//! The driver — trim → first SCC → prefix-doubling batches → labeling, over
+//! `pscc-core`'s own [`Schedule`] and labeling rules — searches from the
+//! same sources in the same batches as `parallel_scc`, so any timing
+//! difference comes from the reachability internals — mirroring the
+//! paper's "our framework is similar to GBBS's" comparison methodology.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
 use pscc_core::config::SccConfig;
-use pscc_core::scc::{label_from_multi, label_from_single, trim, LabelScratch};
+use pscc_core::scc::{label_from_multi, label_from_single, trim, Schedule};
 use pscc_core::state::SccState;
 use pscc_core::stats::{SccStats, SearchRecord};
 use pscc_core::verify::component_stats;
 use pscc_core::SccResult;
 use pscc_graph::{Csr, DiGraph, V};
-use pscc_runtime::{par_range, random_permutation, scan_exclusive, AtomicBits, Timer};
+use pscc_runtime::{par_range, scan_exclusive, AtomicBits, Timer};
 use pscc_table::{pack_pair, pair_source, pair_vertex, Insert, PairTable};
 
 const NONE: u32 = u32::MAX;
@@ -46,93 +47,54 @@ pub fn gbbs_scc(g: &DiGraph, cfg: &SccConfig) -> (SccResult, SccStats) {
     let state = SccState::new(n);
     stats.trimmed = stats.breakdown.run("trim", || trim(g, &state, false));
     let mut unfinished = n - stats.trimmed;
-    let perm = stats.breakdown.run("other", || random_permutation(n, cfg.seed));
-    let scratch = stats.breakdown.run("other", || LabelScratch::new(n));
+    let mut schedule = stats.breakdown.run("other", || Schedule::new(n, cfg));
     // Per-search parent array for the edge-revisit scheme.
     let parent: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(NONE)).collect();
+    // Batch 1 is the first-SCC phase, the only single-source one.
+    let record = |batch, sources, forward, rounds, reached| SearchRecord {
+        batch,
+        sources,
+        forward,
+        multi: batch > 1,
+        rounds,
+        dense_rounds: 0,
+        reached,
+    };
 
-    let mut cursor = 0usize;
-    let mut batch_size = 1usize;
-    while cursor < n && unfinished > 0 {
-        let end = (cursor + batch_size).min(n);
-        let sources: Vec<V> =
-            perm[cursor..end].iter().copied().filter(|&v| !state.is_done(v)).collect();
-        cursor = end;
-        batch_size = ((batch_size as f64 * cfg.beta).ceil() as usize).max(batch_size + 1);
-        if sources.is_empty() {
-            continue;
-        }
+    if let Some(s0) = schedule.first_source(&state) {
+        stats.num_batches = 1;
+        let fvis = AtomicBits::new(n);
+        let bvis = AtomicBits::new(n);
+        let t = Timer::start();
+        let f_rounds = single_reach_revisit(g, s0, true, &state, &parent, &fvis);
+        let b_rounds = single_reach_revisit(g, s0, false, &state, &parent, &bvis);
+        stats.breakdown.add("first_scc", t.elapsed());
+        stats.searches.push(record(1, 1, true, f_rounds, fvis.count_ones()));
+        stats.searches.push(record(1, 1, false, b_rounds, bvis.count_ones()));
+        let newly = stats.breakdown.run("labeling", || label_from_single(&state, s0, &fvis, &bvis));
+        unfinished -= newly;
+    }
+    while unfinished > 0 {
+        let Some(sources) = schedule.next_batch(&state) else { break };
         stats.num_batches += 1;
+        // Naive sizing: fresh small tables every batch.
+        let mut t_out = PairTable::with_capacity(1024);
+        let mut t_in = PairTable::with_capacity(1024);
+        let t = Timer::start();
+        let (fr, f_resize) = multi_reach_revisit(g, &sources, true, &state, &mut t_out);
+        let (br, b_resize) = multi_reach_revisit(g, &sources, false, &state, &mut t_in);
+        let elapsed = t.seconds();
+        let resize = f_resize + b_resize;
+        stats.breakdown.add("multi_search", Duration::from_secs_f64((elapsed - resize).max(0.0)));
+        stats.breakdown.add("table_resize", Duration::from_secs_f64(resize));
         let batch = stats.num_batches;
-
-        if batch == 1 && sources.len() == 1 {
-            let s0 = sources[0];
-            let fvis = AtomicBits::new(n);
-            let bvis = AtomicBits::new(n);
-            let t = Timer::start();
-            let f_rounds = single_reach_revisit(g, s0, true, &state, &parent, &fvis);
-            let b_rounds = single_reach_revisit(g, s0, false, &state, &parent, &bvis);
-            stats.breakdown.add("first_scc", t.elapsed());
-            stats.searches.push(SearchRecord {
-                batch,
-                sources: 1,
-                forward: true,
-                multi: false,
-                rounds: f_rounds,
-                dense_rounds: 0,
-                reached: fvis.count_ones(),
-            });
-            stats.searches.push(SearchRecord {
-                batch,
-                sources: 1,
-                forward: false,
-                multi: false,
-                rounds: b_rounds,
-                dense_rounds: 0,
-                reached: bvis.count_ones(),
-            });
-            let newly =
-                stats.breakdown.run("labeling", || label_from_single(&state, s0, &fvis, &bvis));
-            unfinished -= newly;
-        } else {
-            // Naive sizing: fresh small tables every batch.
-            let mut t_out = PairTable::with_capacity(1024);
-            let mut t_in = PairTable::with_capacity(1024);
-            let t = Timer::start();
-            let (fr, f_resize) = multi_reach_revisit(g, &sources, true, &state, &mut t_out);
-            let (br, b_resize) = multi_reach_revisit(g, &sources, false, &state, &mut t_in);
-            let elapsed = t.seconds();
-            let resize = f_resize + b_resize;
-            stats
-                .breakdown
-                .add("multi_search", Duration::from_secs_f64((elapsed - resize).max(0.0)));
-            stats.breakdown.add("table_resize", Duration::from_secs_f64(resize));
-            stats.searches.push(SearchRecord {
-                batch,
-                sources: sources.len(),
-                forward: true,
-                multi: true,
-                rounds: fr,
-                dense_rounds: 0,
-                reached: t_out.len(),
-            });
-            stats.searches.push(SearchRecord {
-                batch,
-                sources: sources.len(),
-                forward: false,
-                multi: true,
-                rounds: br,
-                dense_rounds: 0,
-                reached: t_in.len(),
-            });
-            let newly = stats
-                .breakdown
-                .run("labeling", || label_from_multi(&state, &t_out, &t_in, &scratch));
-            unfinished -= newly;
-        }
+        stats.searches.push(record(batch, sources.len(), true, fr, t_out.len()));
+        stats.searches.push(record(batch, sources.len(), false, br, t_in.len()));
+        let newly = stats.breakdown.run("labeling", || label_from_multi(&state, &t_out, &t_in));
+        unfinished -= newly;
     }
     assert_eq!(unfinished, 0);
-    let labels = state.labels_snapshot();
+    let labels = state.into_labels();
     let (num_sccs, largest_scc) = component_stats(&labels);
     stats.total_seconds = total.seconds();
     (SccResult { labels, num_sccs, largest_scc }, stats)

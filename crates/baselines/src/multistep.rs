@@ -98,7 +98,7 @@ pub fn multistep_scc(g: &DiGraph, reach: &ReachParams) -> SccResult {
         });
     }
 
-    let labels = state.labels_snapshot();
+    let labels = state.into_labels();
     let (num_sccs, largest_scc) = component_stats(&labels);
     SccResult { labels, num_sccs, largest_scc }
 }

@@ -1,15 +1,23 @@
 //! The BGSS SCC driver (Alg. 1) assembled from trimming, single- and
 //! multi-reachability searches, and labeling.
 //!
-//! Structure (§4): trim → first SCC via two single-reachability searches
-//! (with the dense-mode optimization) → `O(log_β n)` prefix-doubling
-//! batches of forward+backward multi-reachability searches, each followed
-//! by a labeling step that finishes strongly connected vertices and
-//! refreshes cross-edge-pruning signatures. Pair tables are sized with the
-//! §4.5 heuristic.
+//! The phases run in the order §4 gives them, as straight-line code:
+//!
+//! 1. **trim** (§4.1) finishes the vertices with no in- or no out-edge;
+//! 2. **first SCC** (§4.2): the first vertex of the random permutation
+//!    that survived trimming is searched forward and backward with
+//!    *single*-source reachability — bitmaps and dense bottom-up rounds, no
+//!    pair table — which peels a giant SCC at the cost of two BFS;
+//! 3. **batches** (§4.3): the rest of the permutation in prefix-doubling
+//!    slices of 2, 3, 5, … positions ([`Schedule`]), each searched both
+//!    ways with multi-reachability into pair tables sized by §4.5;
+//! 4. after every pair of searches, **labeling** (§4.4, [`label`])
+//!    finishes the vertices strongly connected to a source and folds the
+//!    rest's reachability into their labels, in place.
 
 pub mod components;
 pub mod label;
+mod schedule;
 pub mod trim;
 
 use std::sync::atomic::Ordering;
@@ -17,7 +25,7 @@ use std::time::Duration;
 
 use pscc_bag::HashBag;
 use pscc_graph::{DiGraph, V};
-use pscc_runtime::{par_count, par_max, random_permutation, AtomicBits, Timer};
+use pscc_runtime::{par_count, par_max, AtomicBits, Timer};
 use pscc_table::{next_table_capacity, PairTable};
 
 use crate::config::SccConfig;
@@ -26,7 +34,8 @@ use crate::reach::single::single_reach_in;
 use crate::state::{SccState, FINAL_TAG};
 use crate::stats::{SccStats, SearchRecord};
 pub use components::dense_components;
-pub use label::{label_from_multi, label_from_single, LabelScratch};
+pub use label::{label_from_multi, label_from_single};
+pub use schedule::Schedule;
 pub use trim::trim;
 
 /// The result of an SCC computation.
@@ -47,28 +56,27 @@ pub fn parallel_scc(g: &DiGraph, cfg: &SccConfig) -> SccResult {
     parallel_scc_with_stats(g, cfg).0
 }
 
-/// Everything one SCC run allocates for its reachability searches: one
-/// hash bag for every search's frontier, the forward and backward pair
-/// tables, and the labeling scratch. Allocated (and first touched in
-/// parallel) once per run, re-sized only when a table outgrows its
-/// allocation, and emptied after each use at the cost of what was used.
+/// Everything one SCC run allocates for its reachability searches beside
+/// the first-SCC phase's two visited bitmaps: one hash bag for every
+/// search's frontier and the forward and backward pair tables. Allocated
+/// (and first touched in parallel) once per run, re-sized only when a
+/// table outgrows its allocation, and emptied after each use at the cost
+/// of what was used. Labeling allocates nothing: it works on the labels.
 struct Workspace {
     bag: HashBag<u64>,
     t_out: PairTable,
     t_in: PairTable,
-    scratch: LabelScratch,
 }
 
 impl Workspace {
-    /// Workspace for an `n`-vertex graph of which `unfinished` vertices
-    /// survive trimming: the bag can take a single-source frontier of all
-    /// of them, which also covers the first batches' tables.
-    fn new(n: usize, unfinished: usize, cfg: &SccConfig) -> Self {
+    /// Workspace for a graph of which `unfinished` vertices survive
+    /// trimming: the bag can take a single-source frontier of all of them,
+    /// which also covers the first batches' tables.
+    fn new(unfinished: usize, cfg: &SccConfig) -> Self {
         Self {
             bag: HashBag::with_config(unfinished, cfg.bag),
             t_out: PairTable::with_capacity(0),
             t_in: PairTable::with_capacity(0),
-            scratch: LabelScratch::new(n),
         }
     }
 }
@@ -88,105 +96,88 @@ pub fn parallel_scc_with_stats(g: &DiGraph, cfg: &SccConfig) -> (SccResult, SccS
     stats.trimmed = stats.breakdown.run("trim", || trim(g, &state, cfg.iterative_trim));
     let mut unfinished = n - stats.trimmed;
 
-    // Random permutation and prefix-doubling batches (Alg. 1 line 2), and
-    // the run's workspace. Set-up, per-batch clearing and the final
-    // snapshot are all "other".
-    let (perm, mut ws) = stats
-        .breakdown
-        .run("other", || (random_permutation(n, cfg.seed), Workspace::new(n, unfinished, cfg)));
-
-    let mut cursor = 0usize;
-    let mut batch_size = 1usize;
+    // The source schedule (Alg. 1 line 2) and the run's workspace. Set-up,
+    // source picking, per-batch clearing and the final count are "other".
+    let (mut schedule, mut ws) =
+        stats.breakdown.run("other", || (Schedule::new(n, cfg), Workspace::new(unfinished, cfg)));
+    // Pairs of the previous batch that are still unfinished: `a` of §4.5.
     let mut prev_pairs = 0usize;
 
-    while cursor < n && unfinished > 0 {
-        let end = (cursor + batch_size).min(n);
-        let sources: Vec<V> = stats.breakdown.run("other", || {
-            perm[cursor..end].iter().copied().filter(|&v| !state.is_done(v)).collect()
-        });
-        cursor = end;
-        batch_size = next_batch_size(batch_size, cfg.beta);
-        if sources.is_empty() {
-            continue;
-        }
-        stats.num_batches += 1;
-        let batch = stats.num_batches;
-
-        if batch == 1 && sources.len() == 1 {
-            // Phase 2: first SCC via single-reachability with dense mode
-            // (§4.2).
-            let s0 = sources[0];
-            let params = cfg.single_params();
-            let (fvis, bvis) =
-                stats.breakdown.run("other", || (AtomicBits::new(n), AtomicBits::new(n)));
-            let t = Timer::start();
-            let fo = single_reach_in(g, s0, true, &state.labels, &params, &fvis, &ws.bag);
-            let bo = single_reach_in(g, s0, false, &state.labels, &params, &bvis, &ws.bag);
-            stats.breakdown.add("first_scc", t.elapsed());
-            for (forward, o) in [(true, &fo), (false, &bo)] {
-                stats.searches.push(SearchRecord {
-                    batch,
-                    sources: 1,
-                    forward,
-                    multi: false,
-                    rounds: o.rounds,
-                    dense_rounds: o.dense_rounds,
-                    reached: o.visited,
-                });
-            }
-            let newly =
-                stats.breakdown.run("labeling", || label_from_single(&state, s0, &fvis, &bvis));
-            unfinished -= newly;
-            prev_pairs = fo.visited + bo.visited;
-        } else {
-            // Phase 3: multi-reachability batches (§4.3).
-            let cap = if cfg.naive_table_sizing {
-                1024 // ablation: pay the copy-growth the heuristic avoids
-            } else {
-                next_table_capacity(prev_pairs, unfinished)
-            };
-            stats.breakdown.run("other", || {
-                ws.t_out.reset(cap);
-                ws.t_in.reset(cap);
+    // Phase 2: first SCC via single-reachability with dense mode (§4.2).
+    if let Some(s0) = stats.breakdown.run("other", || schedule.first_source(&state)) {
+        stats.num_batches = 1;
+        let params = cfg.single_params();
+        let (fvis, bvis) =
+            stats.breakdown.run("other", || (AtomicBits::new(n), AtomicBits::new(n)));
+        let t = Timer::start();
+        let fo = single_reach_in(g, s0, true, &state.labels, &params, &fvis, &ws.bag);
+        let bo = single_reach_in(g, s0, false, &state.labels, &params, &bvis, &ws.bag);
+        stats.breakdown.add("first_scc", t.elapsed());
+        for (forward, o) in [(true, &fo), (false, &bo)] {
+            stats.searches.push(SearchRecord {
+                batch: 1,
+                sources: 1,
+                forward,
+                multi: false,
+                rounds: o.rounds,
+                dense_rounds: o.dense_rounds,
+                reached: o.visited,
             });
-            let params = cfg.multi_params();
-            let labels = &state.labels;
-            let t = Timer::start();
-            let fo = multi_reach_in(g, &sources, true, labels, &params, &mut ws.t_out, &mut ws.bag);
-            let bo = multi_reach_in(g, &sources, false, labels, &params, &mut ws.t_in, &mut ws.bag);
-            let elapsed = t.seconds();
-            let resize = fo.resize_seconds + bo.resize_seconds;
-            stats
-                .breakdown
-                .add("multi_search", Duration::from_secs_f64((elapsed - resize).max(0.0)));
-            stats.breakdown.add("table_resize", Duration::from_secs_f64(resize));
-            for (forward, o) in [(true, &fo), (false, &bo)] {
-                stats.searches.push(SearchRecord {
-                    batch,
-                    sources: sources.len(),
-                    forward,
-                    multi: true,
-                    rounds: o.rounds,
-                    dense_rounds: 0,
-                    reached: o.pairs_added,
-                });
-            }
-            let newly = stats
-                .breakdown
-                .run("labeling", || label_from_multi(&state, &ws.t_out, &ws.t_in, &ws.scratch));
-            unfinished -= newly;
-            prev_pairs = fo.pairs_added + bo.pairs_added;
         }
+        let newly = stats.breakdown.run("labeling", || label_from_single(&state, s0, &fvis, &bvis));
+        unfinished -= newly;
+        // The SCC was in both searches and needs no table slot again.
+        prev_pairs = fo.visited + bo.visited - 2 * newly;
+    }
+
+    // Phase 3: multi-reachability batches (§4.3).
+    while unfinished > 0 {
+        let Some(sources) = stats.breakdown.run("other", || schedule.next_batch(&state)) else {
+            break;
+        };
+        stats.num_batches += 1;
+        let cap = if cfg.naive_table_sizing {
+            1024 // ablation: pay the copy-growth the heuristic avoids
+        } else {
+            next_table_capacity(prev_pairs, unfinished)
+        };
+        stats.breakdown.run("other", || {
+            ws.t_out.reset(cap);
+            ws.t_in.reset(cap);
+        });
+        let params = cfg.multi_params();
+        let labels = &state.labels;
+        let t = Timer::start();
+        let fo = multi_reach_in(g, &sources, true, labels, &params, &mut ws.t_out, &mut ws.bag);
+        let bo = multi_reach_in(g, &sources, false, labels, &params, &mut ws.t_in, &mut ws.bag);
+        let elapsed = t.seconds();
+        let resize = fo.resize_seconds + bo.resize_seconds;
+        stats.breakdown.add("multi_search", Duration::from_secs_f64((elapsed - resize).max(0.0)));
+        stats.breakdown.add("table_resize", Duration::from_secs_f64(resize));
+        for (forward, o) in [(true, &fo), (false, &bo)] {
+            stats.searches.push(SearchRecord {
+                batch: stats.num_batches,
+                sources: sources.len(),
+                forward,
+                multi: true,
+                rounds: o.rounds,
+                dense_rounds: 0,
+                reached: o.pairs_added,
+            });
+        }
+        let newly =
+            stats.breakdown.run("labeling", || label_from_multi(&state, &ws.t_out, &ws.t_in));
+        unfinished -= newly;
+        prev_pairs = fo.pairs_added + bo.pairs_added;
     }
 
     assert_eq!(unfinished, 0, "BGSS must finish every vertex");
     state.debug_assert_all_done();
 
     let (labels, (num_sccs, largest_scc)) = stats.breakdown.run("other", || {
-        // Free the workspace before the snapshot and the component count
-        // allocate theirs.
-        drop((ws, perm));
-        let labels = state.labels_snapshot();
+        // Free the workspace before the component count allocates.
+        drop((ws, schedule));
+        let labels = state.into_labels();
         // A component is counted at its self-labeled representative.
         let sizes = components::sizes_by_representative(&labels);
         let num_sccs = par_count(n, |v| labels[v] == FINAL_TAG | v as u64);
@@ -218,11 +209,6 @@ pub fn parallel_scc_induced(
     let view = pscc_graph::SubgraphView::new(g, vertices);
     let sub = view.extract_with_arcs(extra_arcs);
     parallel_scc(&sub, cfg).labels
-}
-
-/// Next prefix-doubling batch size: `max(s + 1, ceil(s·β))`.
-fn next_batch_size(s: usize, beta: f64) -> usize {
-    ((s as f64 * beta).ceil() as usize).max(s + 1)
 }
 
 #[cfg(test)]
@@ -420,7 +406,7 @@ mod tests {
         assert!(stats.breakdown.total_seconds() <= stats.total_seconds + 0.1);
 
         // On a run long enough to time, every step is charged to a phase:
-        // set-up, per-batch clearing and the final snapshot are "other".
+        // set-up, per-batch clearing and the final count are "other".
         let g = pscc_graph::generators::lattice::lattice_sqr(300, 300, 1);
         let (_, stats) = parallel_scc_with_stats(&g, &SccConfig::default());
         let charged: f64 = crate::stats::PHASES.iter().map(|p| stats.phase_seconds(p)).sum();
@@ -460,16 +446,31 @@ mod tests {
     }
 
     #[test]
-    fn batch_sizes_grow_geometrically() {
-        let mut s = 1usize;
-        let sizes: Vec<usize> = (0..8)
-            .map(|_| {
-                let cur = s;
-                s = next_batch_size(s, 1.5);
-                cur
-            })
-            .collect();
-        assert_eq!(sizes, vec![1, 2, 3, 5, 8, 12, 18, 27]);
+    fn first_scc_is_single_reach_even_when_the_first_permuted_vertex_is_trimmed() {
+        // perm[0] is isolated (so trimmed), perm[1..=30] a cycle, and
+        // perm[31..] a tail hanging off it, which non-iterative trimming
+        // only shortens by one.
+        let n = 40;
+        let perm = pscc_runtime::random_permutation(n, SccConfig::default().seed);
+        let mut edges: Vec<(V, V)> = (1..30).map(|i| (perm[i], perm[i + 1])).collect();
+        edges.push((perm[30], perm[1]));
+        edges.extend((30..n - 1).map(|i| (perm[i], perm[i + 1])));
+        let g = DiGraph::from_edges(n, &edges);
+
+        let (res, stats) = parallel_scc_with_stats(&g, &SccConfig::default());
+        assert!(same_partition(&res.labels, &tarjan_labels(&g)));
+        for (record, forward) in stats.searches[..2].iter().zip([true, false]) {
+            assert_eq!((record.batch, record.sources, record.forward), (1, 1, forward));
+            assert!(!record.multi, "the first SCC goes through single-reach: {record:?}");
+        }
+        assert!(stats.searches[2..].iter().all(|r| r.multi && r.batch > 1));
+        assert!(stats.phase_seconds("first_scc") > 0.0);
+        // Batch 1 finished the cycle, at its source.
+        assert_eq!(stats.searches[1].reached, 30);
+        for &v in &perm[1..=30] {
+            assert_eq!(res.labels[v as usize], FINAL_TAG | perm[1] as u64);
+        }
+        assert_eq!(res.largest_scc, 30);
     }
 
     #[test]

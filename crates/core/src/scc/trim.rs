@@ -96,7 +96,7 @@ mod tests {
         let g = path_digraph(3);
         let state = SccState::new(3);
         trim(&g, &state, true);
-        let labels = state.labels_snapshot();
+        let labels = state.into_labels();
         // All distinct: each vertex its own SCC.
         assert_ne!(labels[0], labels[1]);
         assert_ne!(labels[1], labels[2]);

@@ -4,8 +4,9 @@
 //!
 //! 1. For a *finished* vertex, the label is the final SCC id — a vertex id
 //!    tagged with [`FINAL_TAG`] so it can never collide with a signature.
-//! 2. For an *unfinished* vertex, the label is a running hash of its
-//!    reachability **signature** (which sources reach it / it reaches).
+//! 2. For an *unfinished* vertex, the label is the fingerprint of its
+//!    reachability **signature**: the XOR of one hashed term per `(source,
+//!    direction)` that ever reached it ([`scc::label`](crate::scc::label)).
 //!    Two vertices in the same SCC always share the signature, hence the
 //!    label; an edge whose endpoints have different labels is a *cross
 //!    edge* and is skipped in later searches (§4.4).
@@ -64,9 +65,10 @@ impl SccState {
         self.n() - self.done.count_ones()
     }
 
-    /// Snapshot of all labels.
-    pub fn labels_snapshot(&self) -> Vec<u64> {
-        tabulate(self.n(), |i| self.labels[i].load(Ordering::Relaxed))
+    /// The labels, consuming the state: the array the run worked on, not a
+    /// copy (`AtomicU64` and `u64` share a layout: the collect is in place).
+    pub fn into_labels(self) -> Vec<u64> {
+        self.labels.into_iter().map(AtomicU64::into_inner).collect()
     }
 
     /// Asserts every vertex is finished (debug builds only).
@@ -105,13 +107,13 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_matches_state() {
+    fn into_labels_hands_over_the_label_array() {
         let s = SccState::new(5);
         s.finish(0, 0);
         s.labels[3].store(42, Ordering::Relaxed);
-        let snap = s.labels_snapshot();
-        assert_eq!(snap[0], FINAL_TAG);
-        assert_eq!(snap[3], 42);
-        assert_eq!(snap[1], INIT_LABEL);
+        let array = s.labels.as_ptr() as usize;
+        let labels = s.into_labels();
+        assert_eq!(labels, vec![FINAL_TAG, INIT_LABEL, INIT_LABEL, 42, INIT_LABEL]);
+        assert_eq!(labels.as_ptr() as usize, array, "the labels were copied");
     }
 }

@@ -23,8 +23,8 @@ pub fn hash32(x: u32) -> u32 {
     (hash64(x as u64) >> 32) as u32
 }
 
-/// Combines two 64-bit values into one hash. Used for SCC signature labels
-/// (`hash(L[i], R1, R2)` in Alg. 1 line 12).
+/// Combines two 64-bit values into one hash. Used for the partition labels
+/// of the FW-BW baseline.
 #[inline(always)]
 pub fn hash_combine(a: u64, b: u64) -> u64 {
     hash64(a ^ b.rotate_left(31).wrapping_mul(0x9e37_79b9_7f4a_7c15))

@@ -25,7 +25,7 @@ pub use pair::{pack_pair, pair_source, pair_vertex};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use pscc_runtime::{hash64, pack_map, par_count, par_range, tabulate};
+use pscc_runtime::{hash64, pack_map, par_count, par_range, par_range_with, tabulate};
 
 /// Slot sentinel for "empty".
 const EMPTY: u64 = u64::MAX;
@@ -193,15 +193,28 @@ impl PairTable {
     where
         F: Fn(u64) + Sync,
     {
+        self.sum(|key| {
+            f(key);
+            0
+        });
+    }
+
+    /// Sum of `f(key)` over every stored key, in parallel with one partial
+    /// sum per worker. Not concurrent with `insert`.
+    pub fn sum<F>(&self, f: F) -> u64
+    where
+        F: Fn(u64) -> u64 + Sync,
+    {
         let slots = self.active();
-        par_range(0..slots.len(), 2048, &|r| {
+        let partial = par_range_with(0..slots.len(), 2048, &|| 0u64, &|acc, r| {
             for s in &slots[r] {
                 let v = s.load(Ordering::Relaxed);
                 if v != EMPTY {
-                    f(v);
+                    *acc += f(v);
                 }
             }
         });
+        partial.into_iter().sum()
     }
 
     /// Rehashes all keys (parallel) into at least double the slots — in
@@ -401,6 +414,12 @@ mod tests {
             sum.fetch_add(k, Ordering::Relaxed);
         });
         assert_eq!(sum.load(Ordering::Relaxed), (1..=100u64).sum::<u64>());
+        assert_eq!(t.sum(|k| k), (1..=100u64).sum::<u64>());
+        // Only the slots in use count, whatever a larger past use left.
+        let mut t = PairTable::with_capacity(100_000);
+        t.reset(16);
+        t.insert(7);
+        assert_eq!(t.sum(|k| k), 7);
     }
 
     #[test]
