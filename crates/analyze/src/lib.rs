@@ -32,8 +32,8 @@ use std::path::{Path, PathBuf};
 const SCAN_ROOTS: &[&str] = &["crates", "src", "tests", "examples"];
 
 /// Path prefixes excluded from the scan: vendored stand-ins for external
-/// crates (`proptest`/`criterion` shims) mirror *their* upstream APIs and
-/// idioms, not this workspace's.
+/// crates (the `proptest` shim) mirror *their* upstream APIs and idioms,
+/// not this workspace's.
 const EXCLUDED_PREFIXES: &[&str] = &["crates/devtools/"];
 
 /// The baseline's file name at the workspace root.
@@ -142,7 +142,6 @@ mod tests {
             ("tests/common/scenarios.rs", FileClass::Harness),
             ("examples/reachability_server.rs", FileClass::Harness),
             ("crates/bench/benches/tab2_scc.rs", FileClass::Harness),
-            ("crates/bench/src/bin/bench_engine.rs", FileClass::Harness),
             ("crates/analyze/src/main.rs", FileClass::Harness),
         ] {
             assert_eq!(classify(rel), class, "{rel}");

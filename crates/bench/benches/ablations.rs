@@ -1,54 +1,29 @@
-//! **Ablations** — isolating each design choice the paper (and DESIGN.md)
-//! credits for performance:
+//! **Ablations** — isolating the design choices the paper credits for
+//! performance:
 //!
-//! 1. the §4.5 hash-table sizing heuristic vs naive small-start sizing;
-//! 2. the dense (direction-optimizing) mode of the first SCC (§4.2);
-//! 3. fixed τ = 512 vs the §8 adaptive-τ extension;
-//! 4. the prefix-doubling multiplier β (Tab. 1 default 1.5);
-//! 5. the hash-bag first-chunk size λ (paper: insensitive in 2⁸..2¹⁶).
+//! 1. the dense (direction-optimizing) mode of the first SCC (§4.2);
+//! 2. the prefix-doubling multiplier β (Tab. 1 default 1.5);
+//! 3. the hash-bag first-chunk size λ (paper: insensitive in 2⁸..2¹⁶).
 //!
 //! Run: `cargo bench -p pscc-bench --bench ablations`
 
 use pscc_bag::BagConfig;
 use pscc_bench::{fmt_secs, row, small_suite, time_adaptive};
-use pscc_core::{parallel_scc, parallel_scc_with_stats, SccConfig};
+use pscc_core::{parallel_scc, SccConfig};
 
 fn main() {
-    println!("== Ablation 1+2+3: sizing heuristic, dense mode, adaptive τ ==\n");
-    let widths = [7, 10, 10, 10, 10, 10];
-    row(
-        &["graph", "final", "naive-size", "no-dense", "adapt-τ", "resize(n/h)"].map(String::from),
-        &widths,
-    );
+    println!("== Ablation 1: dense mode ==\n");
+    let widths = [7, 10, 10];
+    row(&["graph", "final", "no-dense"].map(String::from), &widths);
     for bg in small_suite() {
         let g = &bg.graph;
         let (t_final, _) = time_adaptive(1.0, || parallel_scc(g, &SccConfig::default()));
-        let naive_cfg = SccConfig { naive_table_sizing: true, ..SccConfig::default() };
-        let (t_naive, naive_stats) =
-            time_adaptive(1.0, || parallel_scc_with_stats(g, &naive_cfg).1);
         let nodense_cfg = SccConfig { use_dense: false, ..SccConfig::default() };
         let (t_nodense, _) = time_adaptive(1.0, || parallel_scc(g, &nodense_cfg));
-        let adapt_cfg = SccConfig { adaptive_tau: true, ..SccConfig::default() };
-        let (t_adapt, _) = time_adaptive(1.0, || parallel_scc(g, &adapt_cfg));
-        let (_, smart_stats) = parallel_scc_with_stats(g, &SccConfig::default());
-        row(
-            &[
-                bg.name.to_string(),
-                fmt_secs(t_final),
-                fmt_secs(t_naive),
-                fmt_secs(t_nodense),
-                fmt_secs(t_adapt),
-                format!(
-                    "{:.1}ms/{:.1}ms",
-                    naive_stats.phase_seconds("table_resize") * 1e3,
-                    smart_stats.phase_seconds("table_resize") * 1e3
-                ),
-            ],
-            &widths,
-        );
+        row(&[bg.name.to_string(), fmt_secs(t_final), fmt_secs(t_nodense)], &widths);
     }
 
-    println!("\n== Ablation 4: batch multiplier β ==\n");
+    println!("\n== Ablation 2: batch multiplier β ==\n");
     let betas = [1.2f64, 1.5, 2.0, 3.0, 4.0];
     let mut widths = vec![7usize];
     widths.extend(std::iter::repeat_n(9, betas.len()));
@@ -66,7 +41,7 @@ fn main() {
         row(&cells, &widths);
     }
 
-    println!("\n== Ablation 5: hash-bag first-chunk size λ ==\n");
+    println!("\n== Ablation 3: hash-bag first-chunk size λ ==\n");
     let lambdas: Vec<usize> = (6..=16).step_by(2).map(|e| 1usize << e).collect();
     let mut widths = vec![7usize];
     widths.extend(std::iter::repeat_n(9, lambdas.len()));
@@ -87,7 +62,7 @@ fn main() {
         row(&cells, &widths);
     }
     println!(
-        "\n(expectations: naive sizing inflates the resize column; no-dense hurts \
+        "\n(expectations: no-dense hurts \
          graphs with a giant SCC; β and λ should be flat across a wide range — \
          the paper's Tab. 1/§3.3 insensitivity claims)"
     );

@@ -22,7 +22,7 @@ fn main() {
 
     for bg in suite() {
         let g = &bg.graph;
-        let (_, with_vgc) = parallel_scc_with_stats(g, &SccConfig::final_version());
+        let (_, with_vgc) = parallel_scc_with_stats(g, &SccConfig::default());
         let (_, without) = parallel_scc_with_stats(g, &SccConfig::plain());
 
         let n = with_vgc.searches.len().min(without.searches.len());

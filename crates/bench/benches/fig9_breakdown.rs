@@ -25,7 +25,7 @@ fn main() {
             ("gbbs", gbbs_scc(g, &SccConfig::default()).1),
             ("plain", parallel_scc_with_stats(g, &SccConfig::plain()).1),
             ("vgc1", parallel_scc_with_stats(g, &SccConfig::vgc1()).1),
-            ("final", parallel_scc_with_stats(g, &SccConfig::final_version()).1),
+            ("final", parallel_scc_with_stats(g, &SccConfig::default()).1),
         ];
         let gbbs_total = runs[0].1.total_seconds;
         for (variant, stats) in &runs {

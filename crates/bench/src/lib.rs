@@ -42,7 +42,7 @@ fn sc(n: usize) -> usize {
 
 /// Builds the full graph suite — the laptop-scale analogue of Tab. 2's 18
 /// graphs. Two graphs per paper family at least; names indicate the
-/// original they stand in for (see DESIGN.md §3 for the substitutions).
+/// original they stand in for.
 pub fn suite() -> Vec<BenchGraph> {
     suite_selected(&[])
 }
@@ -171,11 +171,6 @@ pub fn fmt_secs(s: f64) -> String {
     }
 }
 
-/// Formats a speedup factor.
-pub fn fmt_speedup(x: f64) -> String {
-    format!("{x:.2}x")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,6 +209,5 @@ mod tests {
     fn formatting_helpers() {
         assert_eq!(fmt_secs(2.5), "2.50s");
         assert_eq!(fmt_secs(0.0123), "12.3ms");
-        assert_eq!(fmt_speedup(1.2345), "1.23x");
     }
 }

@@ -15,42 +15,13 @@ pub struct ReachParams {
     pub tau: usize,
     /// Enable the dense (bottom-up) mode for single-reachability (§4.2).
     pub use_dense: bool,
-    /// Dense-mode switch denominator: go dense when
-    /// `|F| + edges(F) > m / dense_threshold`.
-    pub dense_threshold: usize,
-    /// Choose τ per round from the frontier size instead of using the
-    /// fixed value (the §8 "dynamic τ" future-work extension): small
-    /// frontiers get deeper local searches, large frontiers shallower ones.
-    pub adaptive_tau: bool,
     /// Hash-bag parameters for the frontier.
     pub bag: BagConfig,
 }
 
-impl ReachParams {
-    /// The τ used for a round with `frontier_len` tasks. In adaptive mode
-    /// the target is enough total work to hide scheduling overhead across
-    /// all workers (`P · 2048` visits), clamped to `[64, 2^16]`; otherwise
-    /// the fixed τ.
-    pub fn effective_tau(&self, frontier_len: usize) -> usize {
-        if self.adaptive_tau {
-            let target = pscc_runtime::num_workers() * 2048;
-            (target / frontier_len.max(1)).clamp(64, 1 << 16)
-        } else {
-            self.tau
-        }
-    }
-}
-
 impl Default for ReachParams {
     fn default() -> Self {
-        Self {
-            vgc: true,
-            tau: 512,
-            use_dense: true,
-            dense_threshold: 20,
-            adaptive_tau: false,
-            bag: BagConfig::default(),
-        }
+        Self { vgc: true, tau: 512, use_dense: true, bag: BagConfig::default() }
     }
 }
 
@@ -58,11 +29,6 @@ impl ReachParams {
     /// Plain BFS-style search: hash-bag frontier but no local search.
     pub fn plain() -> Self {
         Self { vgc: false, ..Self::default() }
-    }
-
-    /// VGC with per-round adaptive τ (§8 future work).
-    pub fn adaptive() -> Self {
-        Self { adaptive_tau: true, ..Self::default() }
     }
 }
 
@@ -83,11 +49,6 @@ pub struct SccConfig {
     /// Run trimming to a fixed point instead of a single pass (extension;
     /// the paper trims once).
     pub iterative_trim: bool,
-    /// Per-round adaptive τ (extension, §8 future work).
-    pub adaptive_tau: bool,
-    /// Ablation switch: size pair tables naively (fixed small capacity,
-    /// growing by rehash) instead of the §4.5 `max(0.3b, 1.5a)` heuristic.
-    pub naive_table_sizing: bool,
     /// Seed for the random vertex permutation.
     pub seed: u64,
     /// Hash-bag parameters.
@@ -103,8 +64,6 @@ impl Default for SccConfig {
             vgc_multi: true,
             use_dense: true,
             iterative_trim: false,
-            adaptive_tau: false,
-            naive_table_sizing: false,
             seed: 0x5cc,
             bag: BagConfig::default(),
         }
@@ -122,11 +81,6 @@ impl SccConfig {
         Self { vgc_single: true, vgc_multi: false, ..Self::default() }
     }
 
-    /// The "Final" variant of Fig. 9 (same as `default`).
-    pub fn final_version() -> Self {
-        Self::default()
-    }
-
     /// Same configuration with a different τ (for the Fig. 11 sweep).
     pub fn with_tau(self, tau: usize) -> Self {
         Self { tau, ..self }
@@ -138,8 +92,6 @@ impl SccConfig {
             vgc: self.vgc_single && self.tau > 1,
             tau: self.tau,
             use_dense: self.use_dense,
-            dense_threshold: 20,
-            adaptive_tau: self.adaptive_tau,
             bag: self.bag,
         }
     }
@@ -150,8 +102,6 @@ impl SccConfig {
             vgc: self.vgc_multi && self.tau > 1,
             tau: self.tau,
             use_dense: false, // dense mode is unsound for multi-reach (§4.2)
-            dense_threshold: 20,
-            adaptive_tau: self.adaptive_tau,
             bag: self.bag,
         }
     }
@@ -176,7 +126,7 @@ mod tests {
         assert!(!plain.vgc_single && !plain.vgc_multi);
         let vgc1 = SccConfig::vgc1();
         assert!(vgc1.vgc_single && !vgc1.vgc_multi);
-        let fin = SccConfig::final_version();
+        let fin = SccConfig::default();
         assert!(fin.vgc_single && fin.vgc_multi);
     }
 
@@ -185,22 +135,6 @@ mod tests {
         let c = SccConfig::default();
         assert!(!c.multi_params().use_dense);
         assert!(c.single_params().use_dense);
-    }
-
-    #[test]
-    fn effective_tau_fixed_mode_is_constant() {
-        let p = ReachParams::default();
-        assert_eq!(p.effective_tau(1), 512);
-        assert_eq!(p.effective_tau(1_000_000), 512);
-    }
-
-    #[test]
-    fn effective_tau_adaptive_shrinks_with_frontier() {
-        let p = ReachParams::adaptive();
-        let small = p.effective_tau(1);
-        let large = p.effective_tau(1_000_000);
-        assert!(small >= large, "small frontier should get larger tau");
-        assert!(large >= 64 && small <= 1 << 16, "clamping");
     }
 
     #[test]

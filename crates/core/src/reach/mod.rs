@@ -4,14 +4,10 @@
 //!   VGC local search) and dense (bottom-up) rounds;
 //! * [`multi::multi_reach`] — multi-source search producing `(v, s)`
 //!   reachability pairs in a phase-concurrent table, with VGC local search
-//!   over pairs;
-//! * [`bfs::parallel_bfs`] — distance-preserving BFS (hash-bag frontier,
-//!   no VGC: levels must stay synchronized, §8).
+//!   over pairs.
 
-pub mod bfs;
 pub mod multi;
 pub mod single;
 
-pub use bfs::{parallel_bfs, BfsParams, BfsResult};
 pub use multi::{multi_reach, MultiReachOutcome};
 pub use single::{single_reach, SingleReachOutcome};

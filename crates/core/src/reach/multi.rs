@@ -149,7 +149,7 @@ pub(crate) fn multi_reach_in(
             // Sharing &PairTable across tasks is safe: insert/contains are
             // phase-concurrent.
             let (table, bag) = (&*table, &*bag);
-            let tau = params.effective_tau(frontier.len());
+            let tau = params.tau;
             let init = || (Vec::<u64>::with_capacity(tau.min(1 << 14)), Tally::default());
             let workers = par_range_with(0..frontier.len(), 1, &init, &|(queue, tally), r| {
                 for i in r {

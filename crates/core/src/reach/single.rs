@@ -31,6 +31,10 @@ pub struct SingleReachOutcome {
 /// hash bag (the bag's per-round extract cost dominates tiny rounds).
 const SEQ_FRONTIER: usize = 64;
 
+/// Dense-mode switch (§4.2): a round goes bottom-up when
+/// `|F| + edges(F) > m / DENSE_THRESHOLD`.
+const DENSE_THRESHOLD: usize = 20;
+
 /// VGC local search from frontier vertex `v` (§3.2): a sequential multi-hop
 /// exploration of the vertices labelled like `v`, bounded by `tau` neighbour
 /// visits. Newly visited vertices queue up in `queue`; whatever the search
@@ -83,7 +87,7 @@ fn sparse_round_seq(
     frontier: &[V],
     scanned: &mut u64,
 ) -> Vec<V> {
-    let tau = params.effective_tau(frontier.len());
+    let tau = params.tau;
     let mut next: Vec<V> = Vec::new();
     let mut queue: Vec<V> = Vec::new();
     for &v in frontier {
@@ -151,7 +155,7 @@ pub(crate) fn single_reach_in(
         let frontier_edges: u64 =
             pscc_runtime::par_sum_u64(frontier.len(), |i| csr.degree(frontier[i]) as u64);
         let go_dense = params.use_dense
-            && frontier.len() as u64 + frontier_edges > m.div_ceil(params.dense_threshold) as u64;
+            && frontier.len() as u64 + frontier_edges > m.div_ceil(DENSE_THRESHOLD) as u64;
 
         if !go_dense && frontier.len() <= SEQ_FRONTIER {
             // Tiny frontier: a sequential round into a plain Vec. Skipping
@@ -197,7 +201,7 @@ pub(crate) fn single_reach_in(
         } else {
             // Sparse round: hash-bag frontier, optional VGC local search.
             // Queue and edge tally are per worker, not per frontier vertex.
-            let tau = params.effective_tau(frontier.len());
+            let tau = params.tau;
             let init = || (Vec::<V>::with_capacity(tau.min(1 << 14)), 0u64);
             let workers = par_range_with(0..frontier.len(), 1, &init, &|(queue, scanned), r| {
                 for i in r {

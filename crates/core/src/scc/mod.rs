@@ -136,11 +136,7 @@ pub fn parallel_scc_with_stats(g: &DiGraph, cfg: &SccConfig) -> (SccResult, SccS
             break;
         };
         stats.num_batches += 1;
-        let cap = if cfg.naive_table_sizing {
-            1024 // ablation: pay the copy-growth the heuristic avoids
-        } else {
-            next_table_capacity(prev_pairs, unfinished)
-        };
+        let cap = next_table_capacity(prev_pairs, unfinished);
         stats.breakdown.run("other", || {
             ws.t_out.reset(cap);
             ws.t_in.reset(cap);
@@ -471,31 +467,6 @@ mod tests {
             assert_eq!(res.labels[v as usize], FINAL_TAG | perm[1] as u64);
         }
         assert_eq!(res.largest_scc, 30);
-    }
-
-    #[test]
-    fn naive_table_sizing_is_correct_but_resizes_more() {
-        let g = gnm_digraph(2000, 8000, 17);
-        let want = tarjan_labels(&g);
-        let naive_cfg = SccConfig { naive_table_sizing: true, ..SccConfig::default() };
-        let (res, naive) = parallel_scc_with_stats(&g, &naive_cfg);
-        assert!(same_partition(&res.labels, &want));
-        let (_, smart) = parallel_scc_with_stats(&g, &SccConfig::default());
-        assert!(
-            naive.phase_seconds("table_resize") >= smart.phase_seconds("table_resize"),
-            "naive sizing should spend at least as much time resizing              (naive {:.6}s vs heuristic {:.6}s)",
-            naive.phase_seconds("table_resize"),
-            smart.phase_seconds("table_resize")
-        );
-    }
-
-    #[test]
-    fn adaptive_tau_is_correct() {
-        let g = gnm_digraph(800, 2400, 23);
-        let want = tarjan_labels(&g);
-        let cfg = SccConfig { adaptive_tau: true, ..SccConfig::default() };
-        let res = parallel_scc(&g, &cfg);
-        assert!(same_partition(&res.labels, &want));
     }
 
     #[test]

@@ -228,7 +228,7 @@ impl<'a> QueryBatch<'a> {
     }
 
     /// Answers every query one at a time on the calling thread (the
-    /// baseline the `engine_queries` bench compares against).
+    /// baseline behind the ledger's `engine.batch.seq_qps`).
     pub fn answer_sequential(&self, queries: &[(V, V)]) -> Vec<bool> {
         self.instrumented(queries, || self.sequential_core(queries))
     }

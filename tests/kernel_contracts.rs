@@ -15,12 +15,15 @@
 //! search, batch and trim counts on two such graphs are pinned to what the
 //! kernel produced before that change. **Labels do not depend on the
 //! width:** finishing is a max, signatures are an XOR, so 1, 2 and 8
-//! workers produce the very same label vector.
+//! workers produce the very same label vector — and at the default
+//! configuration that vector is pinned by checksum, so a change that
+//! claims to leave the default path alone can be held to it.
 //!
 //! Release-only: CI runs this file in its `cargo test --release` step.
 
 use parallel_scc::graph::generators::lattice::lattice_sqr;
 use parallel_scc::graph::generators::rmat::rmat_digraph;
+use parallel_scc::graph::io::Checksum64;
 use parallel_scc::graph::SubgraphView;
 use parallel_scc::prelude::*;
 use parallel_scc::runtime::random_permutation;
@@ -97,14 +100,23 @@ fn the_schedule_is_unchanged_when_the_first_permuted_vertex_survives_trimming() 
     assert_eq!(schedule_counts(&rmat_digraph(14, 120_000, 1), 6), (52, 42, 21, 13470));
 }
 
+/// FNV-1a-64 over the little-endian bytes of the label vector.
+fn label_checksum(labels: &[u64]) -> u64 {
+    let mut sum = Checksum64::new();
+    labels.iter().for_each(|label| sum.update(&label.to_le_bytes()));
+    sum.finish()
+}
+
 #[test]
 #[cfg_attr(debug_assertions, ignore = "sized for release builds; CI runs it with --release")]
 fn labels_are_the_same_at_every_width() {
     let cfg = SccConfig::default();
-    for (name, g) in
-        [("lattice 200x200", lattice_sqr(200, 200, 1)), ("rmat-14", rmat_digraph(14, 120_000, 1))]
-    {
+    for (name, g, checksum) in [
+        ("lattice 200x200", lattice_sqr(200, 200, 1), 0xc553_67e8_5786_58bf),
+        ("rmat-14", rmat_digraph(14, 120_000, 1), 0xdf16_aaa9_07f9_246d),
+    ] {
         let narrow = with_threads(1, || parallel_scc(&g, &cfg)).labels;
+        assert_eq!(label_checksum(&narrow), checksum, "{name}: width-1 labels moved");
         for width in [2, 8] {
             let wide = with_threads(width, || parallel_scc(&g, &cfg)).labels;
             assert!(wide == narrow, "{name}: labels at width {width} differ from width 1");
