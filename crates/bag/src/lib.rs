@@ -111,6 +111,8 @@ impl<T: BagItem> HashBag<T> {
     pub fn reserve(&mut self, max_elems: usize) {
         debug_assert!(self.is_empty_slow(), "reserve on a non-empty bag");
         if max_elems > self.max_elems {
+            // The old slots go first, so the new ones can take their place.
+            self.slots = Box::default();
             *self = Self::with_config(max_elems, self.cfg);
         }
     }

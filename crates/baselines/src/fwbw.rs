@@ -14,7 +14,7 @@ use std::sync::atomic::Ordering;
 
 use pscc_core::config::ReachParams;
 use pscc_core::reach::single_reach;
-use pscc_core::scc::trim;
+use pscc_core::scc::trim_once;
 use pscc_core::state::SccState;
 use pscc_core::verify::component_stats;
 use pscc_core::SccResult;
@@ -35,7 +35,7 @@ pub fn fwbw_scc(g: &DiGraph, reach: &ReachParams) -> SccResult {
         return SccResult { labels: Vec::new(), num_sccs: 0, largest_scc: 0 };
     }
     let state = SccState::new(n);
-    trim(g, &state, false);
+    trim_once(g, &state);
 
     // Work list of partitions, each a (partition label, member candidates).
     let initial: Vec<V> = (0..n as V).filter(|&v| !state.is_done(v)).collect();

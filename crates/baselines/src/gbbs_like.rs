@@ -23,7 +23,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use pscc_core::config::SccConfig;
-use pscc_core::scc::{label_from_multi, label_from_single, trim, Schedule};
+use pscc_core::scc::{label_from_multi, label_from_single, trim_once, Schedule};
 use pscc_core::state::SccState;
 use pscc_core::stats::{SccStats, SearchRecord};
 use pscc_core::verify::component_stats;
@@ -45,9 +45,10 @@ pub fn gbbs_scc(g: &DiGraph, cfg: &SccConfig) -> (SccResult, SccStats) {
         return (SccResult { labels: Vec::new(), num_sccs: 0, largest_scc: 0 }, stats);
     }
     let state = SccState::new(n);
-    stats.trimmed = stats.breakdown.run("trim", || trim(g, &state, false));
+    // GBBS trims once, as the paper does.
+    stats.trimmed = stats.breakdown.run("trim", || trim_once(g, &state));
     let mut unfinished = n - stats.trimmed;
-    let mut schedule = stats.breakdown.run("other", || Schedule::new(n, cfg));
+    let mut schedule = stats.breakdown.run("other", || Schedule::new(&state, cfg));
     // Per-search parent array for the edge-revisit scheme.
     let parent: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(NONE)).collect();
     // Batch 1 is the first-SCC phase, the only single-source one.

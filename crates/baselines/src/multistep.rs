@@ -30,8 +30,8 @@ pub fn multistep_scc(g: &DiGraph, reach: &ReachParams) -> SccResult {
     }
     let state = SccState::new(n);
 
-    // Phase 1: iterative trim.
-    trim(g, &state, true);
+    // Phase 1: complete trim.
+    trim(g, &state);
 
     // Phase 2: FW-BW from the pivot with max degree product.
     if state.unfinished() > 0 {

@@ -1,7 +1,8 @@
 //! Configuration for the SCC algorithm and its reachability searches.
 //!
 //! Defaults follow Tab. 1 of the paper: `τ = 512`, `β = 1.5`,
-//! hash-bag `λ = 2¹⁰`, `σ = 50`.
+//! hash-bag `λ = 2¹⁰`, `σ = 50`. Trimming has no setting: the kernel always
+//! trims to the fixed point ([`scc::trim`](crate::scc::trim())).
 
 use pscc_bag::BagConfig;
 
@@ -46,9 +47,6 @@ pub struct SccConfig {
     pub vgc_multi: bool,
     /// Enable the dense/bottom-up direction-optimization for the first SCC.
     pub use_dense: bool,
-    /// Run trimming to a fixed point instead of a single pass (extension;
-    /// the paper trims once).
-    pub iterative_trim: bool,
     /// Seed for the random vertex permutation.
     pub seed: u64,
     /// Hash-bag parameters.
@@ -63,7 +61,6 @@ impl Default for SccConfig {
             vgc_single: true,
             vgc_multi: true,
             use_dense: true,
-            iterative_trim: false,
             seed: 0x5cc,
             bag: BagConfig::default(),
         }

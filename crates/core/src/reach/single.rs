@@ -28,8 +28,9 @@ pub struct SingleReachOutcome {
 }
 
 /// Frontiers at most this large are processed sequentially without the
-/// hash bag (the bag's per-round extract cost dominates tiny rounds).
-const SEQ_FRONTIER: usize = 64;
+/// hash bag (the bag's per-round extract cost dominates tiny rounds); the
+/// peel of `scc::trim` draws the same line for its fork-joins.
+pub(crate) const SEQ_FRONTIER: usize = 64;
 
 /// Dense-mode switch (§4.2): a round goes bottom-up when
 /// `|F| + edges(F) > m / DENSE_THRESHOLD`.
@@ -147,6 +148,7 @@ pub(crate) fn single_reach_in(
     let mut frontier: Vec<V> = vec![src];
     let csr = g.csr_dir(forward);
     let rev = g.csr_dir(!forward);
+    let src_label = labels[src as usize].load(Ordering::Relaxed);
     // Frontier bitset reused across dense rounds.
     let cur_bits = AtomicBits::new(n);
 
@@ -174,21 +176,23 @@ pub(crate) fn single_reach_in(
                     cur_bits.set(frontier[i] as usize);
                 }
             });
-            // Bottom-up: every unvisited, same-label vertex u checks its
-            // *reverse*-direction neighbours; one hit suffices (early exit —
-            // the work saving that makes dense mode pay off).
+            // Bottom-up: every unvisited vertex u of the source's
+            // subproblem checks its *reverse*-direction neighbours for one
+            // in the frontier; one hit suffices (early exit — the work
+            // saving that makes dense mode pay off). The label is compared
+            // before the list is touched: a finished vertex, or one of
+            // another subproblem, costs one load per dense round, not its
+            // degree. Frontier vertices are labelled like the source, so
+            // the neighbours need no label check of their own.
             let next_bits = AtomicBits::new(n);
             let scanned = par_range_with(0..n, 1024, &|| 0u64, &|scanned, r| {
                 for u in r {
-                    if visited.get(u) {
+                    if visited.get(u) || labels[u].load(Ordering::Relaxed) != src_label {
                         continue;
                     }
-                    let lu = labels[u].load(Ordering::Relaxed);
                     for &w in rev.neighbors(u as V) {
                         *scanned += 1;
-                        if cur_bits.get(w as usize)
-                            && labels[w as usize].load(Ordering::Relaxed) == lu
-                        {
+                        if cur_bits.get(w as usize) {
                             visited.set(u);
                             next_bits.set(u);
                             break;
@@ -387,6 +391,44 @@ mod tests {
         for (v, &w) in want.iter().enumerate() {
             assert_eq!(visited.get(v), w);
         }
+    }
+
+    #[test]
+    fn a_dense_round_does_not_read_the_edges_of_finished_vertices() {
+        // Live part: k triangles s → a_i → b_i → s through one source — the
+        // a's make a frontier wide enough to go dense. Finished part: a
+        // star of 30·k leaves into one center, ten times the live edges.
+        let k: V = 1000;
+        let (center, leaves) = (2 * k + 1, 30 * k);
+        let mut edges: Vec<(V, V)> =
+            (1..=k).flat_map(|i| [(0, i), (i, k + i), (k + i, 0)]).collect();
+        edges.extend((1..=leaves).map(|j| (center + j, center)));
+        let n = (center + leaves + 1) as usize;
+        let g = DiGraph::from_edges(n, &edges);
+        let labels = fresh_labels(n);
+        for (v, label) in labels.iter().enumerate().skip(center as usize) {
+            label.store(crate::FINAL_TAG | v as u64, Ordering::Relaxed);
+        }
+
+        let search = |use_dense| {
+            let visited = AtomicBits::new(n);
+            let params = ReachParams { use_dense, ..ReachParams::default() };
+            let outcome = single_reach(&g, 0, true, &labels, &params, &visited);
+            (outcome, (0..n).map(|v| visited.get(v)).collect::<Vec<bool>>())
+        };
+        let (dense, dense_set) = search(true);
+        let (sparse, sparse_set) = search(false);
+        assert!(dense.dense_rounds >= 1 && sparse.dense_rounds == 0);
+        assert!(dense_set == sparse_set, "dense mode changed the reach set");
+        assert_eq!(dense.visited, center as usize, "the live part, and only it");
+        // Without the label check each dense round walked the center's
+        // 30·k in-edges looking for a frontier vertex.
+        assert!(
+            dense.edges_scanned <= 3 * k as u64,
+            "{} edges scanned for {} live ones",
+            dense.edges_scanned,
+            3 * k
+        );
     }
 
     #[test]

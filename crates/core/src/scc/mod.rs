@@ -3,14 +3,19 @@
 //!
 //! The phases run in the order §4 gives them, as straight-line code:
 //!
-//! 1. **trim** (§4.1) finishes the vertices with no in- or no out-edge;
-//! 2. **first SCC** (§4.2): the first vertex of the random permutation
-//!    that survived trimming is searched forward and backward with
-//!    *single*-source reachability — bitmaps and dense bottom-up rounds, no
-//!    pair table — which peels a giant SCC at the cost of two BFS;
-//! 3. **batches** (§4.3): the rest of the permutation in prefix-doubling
-//!    slices of 2, 3, 5, … positions ([`Schedule`]), each searched both
-//!    ways with multi-reachability into pair tables sized by §4.5;
+//! 1. **trim** (§4.1) finishes the vertices with no in- or no out-edge,
+//!    then those left without one by that, and so on to the fixed point
+//!    ([`trim()`]: worklist peeling, O(n + m)) — every vertex that is on no
+//!    cycle's way in and out is gone before a search starts, and the rest
+//!    of the run (permutation, bag, tables) is sized by the survivors;
+//! 2. **first SCC** (§4.2): the first survivor in a random permutation is
+//!    searched forward and backward with *single*-source reachability —
+//!    bitmaps and dense bottom-up rounds, no pair table — which peels a
+//!    giant SCC at the cost of two BFS;
+//! 3. **batches** (§4.3): the rest of the survivors' permutation in
+//!    prefix-doubling slices of 2, 3, 5, … positions ([`Schedule`]), each
+//!    searched both ways with multi-reachability into pair tables sized by
+//!    §4.5;
 //! 4. after every pair of searches, **labeling** (§4.4, [`label`])
 //!    finishes the vertices strongly connected to a source and folds the
 //!    rest's reachability into their labels, in place.
@@ -36,7 +41,7 @@ use crate::stats::{SccStats, SearchRecord};
 pub use components::dense_components;
 pub use label::{label_from_multi, label_from_single};
 pub use schedule::Schedule;
-pub use trim::trim;
+pub use trim::{trim, trim_once};
 
 /// The result of an SCC computation.
 #[derive(Clone, Debug)]
@@ -92,14 +97,16 @@ pub fn parallel_scc_with_stats(g: &DiGraph, cfg: &SccConfig) -> (SccResult, SccS
 
     let state = stats.breakdown.run("other", || SccState::new(n));
 
-    // Phase 1: trimming (§4.1).
-    stats.trimmed = stats.breakdown.run("trim", || trim(g, &state, cfg.iterative_trim));
+    // Phase 1: trimming (§4.1) to the fixed point.
+    stats.trimmed = stats.breakdown.run("trim", || trim(g, &state));
     let mut unfinished = n - stats.trimmed;
 
-    // The source schedule (Alg. 1 line 2) and the run's workspace. Set-up,
-    // source picking, per-batch clearing and the final count are "other".
-    let (mut schedule, mut ws) =
-        stats.breakdown.run("other", || (Schedule::new(n, cfg), Workspace::new(unfinished, cfg)));
+    // The source schedule (Alg. 1 line 2) and the run's workspace, both
+    // over what trimming left. Set-up, source picking, per-batch clearing
+    // and the final count are "other".
+    let (mut schedule, mut ws) = stats
+        .breakdown
+        .run("other", || (Schedule::new(&state, cfg), Workspace::new(unfinished, cfg)));
     // Pairs of the previous batch that are still unfinished: `a` of §4.5.
     let mut prev_pairs = 0usize;
 
@@ -345,7 +352,6 @@ mod tests {
                 SccConfig::default(),
                 SccConfig::plain(),
                 SccConfig::vgc1(),
-                SccConfig { iterative_trim: true, ..SccConfig::default() },
                 SccConfig::default().with_tau(4),
             ] {
                 check(&g, &cfg);
@@ -442,31 +448,55 @@ mod tests {
     }
 
     #[test]
-    fn first_scc_is_single_reach_even_when_the_first_permuted_vertex_is_trimmed() {
-        // perm[0] is isolated (so trimmed), perm[1..=30] a cycle, and
-        // perm[31..] a tail hanging off it, which non-iterative trimming
-        // only shortens by one.
-        let n = 40;
+    fn the_first_scc_is_searched_from_the_first_permuted_survivor() {
+        // perm[0] is isolated and perm[40..] a tail, both trimmed; perm[1..=30]
+        // is a cycle with an arc into a second cycle, perm[31..40].
+        let n = 50;
         let perm = pscc_runtime::random_permutation(n, SccConfig::default().seed);
-        let mut edges: Vec<(V, V)> = (1..30).map(|i| (perm[i], perm[i + 1])).collect();
-        edges.push((perm[30], perm[1]));
-        edges.extend((30..n - 1).map(|i| (perm[i], perm[i + 1])));
+        let cycle = |lo: usize, hi: usize| {
+            (lo..=hi).map(move |i| (i, if i == hi { lo } else { i + 1 })).collect::<Vec<_>>()
+        };
+        let mut edges = cycle(1, 30);
+        edges.extend(cycle(31, 39));
+        edges.push((30, 31));
+        edges.extend((39..n - 1).map(|i| (i, i + 1)));
+        let edges: Vec<(V, V)> = edges.into_iter().map(|(a, b)| (perm[a], perm[b])).collect();
         let g = DiGraph::from_edges(n, &edges);
 
         let (res, stats) = parallel_scc_with_stats(&g, &SccConfig::default());
         assert!(same_partition(&res.labels, &tarjan_labels(&g)));
+        assert_eq!(stats.trimmed, 11, "the isolated vertex and the whole tail");
         for (record, forward) in stats.searches[..2].iter().zip([true, false]) {
             assert_eq!((record.batch, record.sources, record.forward), (1, 1, forward));
             assert!(!record.multi, "the first SCC goes through single-reach: {record:?}");
         }
+        assert!(stats.searches.len() > 2, "the second cycle is left for a batch");
         assert!(stats.searches[2..].iter().all(|r| r.multi && r.batch > 1));
         assert!(stats.phase_seconds("first_scc") > 0.0);
-        // Batch 1 finished the cycle, at its source.
+        // Batch 1 finished the first cycle, at its source.
         assert_eq!(stats.searches[1].reached, 30);
         for &v in &perm[1..=30] {
             assert_eq!(res.labels[v as usize], FINAL_TAG | perm[1] as u64);
         }
         assert_eq!(res.largest_scc, 30);
+    }
+
+    #[test]
+    fn an_acyclic_graph_is_finished_by_trimming_alone() {
+        for g in [dag_layers(8, 20, 3, 1), path_digraph(3000)] {
+            let (res, stats) = parallel_scc_with_stats(&g, &SccConfig::default());
+            assert_eq!((res.num_sccs, stats.trimmed), (g.n(), g.n()));
+            assert!(stats.searches.is_empty(), "{} searches on a DAG", stats.searches.len());
+            assert_eq!(stats.num_batches, 0);
+        }
+    }
+
+    #[test]
+    fn a_sparse_rmat_needs_no_multi_reach_batch_for_its_acyclic_part() {
+        let g = pscc_graph::generators::rmat::rmat_digraph(14, 120_000, 1);
+        let (res, stats) = parallel_scc_with_stats(&g, &SccConfig::default());
+        assert!(same_partition(&res.labels, &tarjan_labels(&g)));
+        assert!(stats.num_batches <= 2, "{} batches", stats.num_batches);
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! The source schedule of Alg. 1: a random permutation of the vertices,
-//! consumed as one first source and then prefix-doubling batches.
+//! The source schedule of Alg. 1: a random permutation of the vertices
+//! trimming left, consumed as one first source and then prefix-doubling
+//! batches.
 
 use pscc_graph::V;
-use pscc_runtime::random_permutation;
+use pscc_runtime::{pack_index, random_permutation_of};
 
 use crate::config::SccConfig;
 use crate::state::SccState;
@@ -21,17 +22,23 @@ pub struct Schedule {
 }
 
 impl Schedule {
-    /// The schedule over `0..n` for `cfg`'s permutation seed and β.
-    pub fn new(n: usize, cfg: &SccConfig) -> Self {
-        Self { perm: random_permutation(n, cfg.seed), cursor: 0, size: 1, beta: cfg.beta }
+    /// The schedule over the vertices `state` has not finished — to be
+    /// built once trimming is over — for `cfg`'s permutation seed and β.
+    /// They come in the order `random_permutation(n, cfg.seed)` has them,
+    /// but only they are keyed and sorted: on a graph that is mostly
+    /// acyclic that is a fraction of `n`, and the batch slices count
+    /// vertices a search can still start from.
+    pub fn new(state: &SccState, cfg: &SccConfig) -> Self {
+        let left = pack_index(state.n(), |v| !state.is_done(v as V));
+        let perm = random_permutation_of(left.into_iter().map(|v| v as V), cfg.seed);
+        Self { perm, cursor: 0, size: 1, beta: cfg.beta }
     }
 
     /// The source of the first-SCC phase (§4.2): the first vertex of the
-    /// permutation not finished by trimming; `None` if trimming finished
-    /// them all. To be called once, before any [`next_batch`](Self::next_batch).
+    /// permutation; `None` if trimming finished every vertex. To be called
+    /// once, before any [`next_batch`](Self::next_batch).
     pub fn first_source(&mut self, state: &SccState) -> Option<V> {
         debug_assert_eq!(self.size, 1, "the first source precedes every batch");
-        self.cursor += self.perm[self.cursor..].iter().take_while(|&&v| state.is_done(v)).count();
         self.next_batch(state).map(|batch| batch[0])
     }
 
@@ -64,6 +71,7 @@ fn next_batch_size(s: usize, beta: f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pscc_runtime::random_permutation;
 
     #[test]
     fn batch_sizes_grow_geometrically() {
@@ -79,27 +87,30 @@ mod tests {
     }
 
     #[test]
-    fn first_source_skips_finished_vertices_and_batches_follow_it() {
+    fn only_unfinished_vertices_are_scheduled_in_the_order_of_the_whole_permutation() {
         let cfg = SccConfig::default();
         let perm = random_permutation(40, cfg.seed);
         let state = SccState::new(40);
-        // The first three of the permutation and one inside the second
-        // batch are finished.
+        // The first three of the permutation and one further on were
+        // finished by trimming: they take no position in any batch.
         for &v in perm[..3].iter().chain(&perm[6..7]) {
             state.finish(v, v);
         }
-        let mut schedule = Schedule::new(40, &cfg);
+        let mut schedule = Schedule::new(&state, &cfg);
         assert_eq!(schedule.first_source(&state), Some(perm[3]));
         assert_eq!(schedule.next_batch(&state), Some(perm[4..6].to_vec()));
-        assert_eq!(schedule.next_batch(&state), Some(perm[7..9].to_vec()));
-        assert_eq!(schedule.next_batch(&state).map(|b| b.len()), Some(5));
+        assert_eq!(schedule.next_batch(&state), Some(perm[7..10].to_vec()));
+        // A vertex finished since is skipped inside its slice.
+        state.finish(perm[11], perm[11]);
+        let expected: Vec<V> = perm[10..15].iter().copied().filter(|&v| v != perm[11]).collect();
+        assert_eq!(schedule.next_batch(&state), Some(expected));
     }
 
     #[test]
     fn a_finished_graph_has_no_sources() {
         let state = SccState::new(5);
         (0..5).for_each(|v| state.finish(v, v));
-        let mut schedule = Schedule::new(5, &SccConfig::default());
+        let mut schedule = Schedule::new(&state, &SccConfig::default());
         assert_eq!(schedule.first_source(&state), None);
         assert_eq!(schedule.next_batch(&state), None);
     }

@@ -54,6 +54,18 @@ impl SccState {
         self.done.set(v as usize);
     }
 
+    /// [`finish`](Self::finish) for a vertex several threads may try to
+    /// finish at once: exactly one call wins the done bit, labels `v` and
+    /// returns `true`.
+    #[inline]
+    pub fn try_finish(&self, v: u32, rep: u32) -> bool {
+        let won = self.done.test_and_set(v as usize);
+        if won {
+            self.labels[v as usize].store(FINAL_TAG | rep as u64, Ordering::Relaxed);
+        }
+        won
+    }
+
     /// True if `v` has its final SCC label.
     #[inline]
     pub fn is_done(&self, v: u32) -> bool {
@@ -96,6 +108,17 @@ mod tests {
         assert!(s.is_done(2));
         assert_eq!(s.label(2), FINAL_TAG | 7);
         assert_eq!(s.unfinished(), 3);
+    }
+
+    #[test]
+    fn try_finish_wins_once() {
+        let s = SccState::new(4);
+        assert!(s.try_finish(1, 1));
+        assert!(!s.try_finish(1, 3), "already finished");
+        assert_eq!(s.label(1), FINAL_TAG | 1);
+        s.finish(2, 0);
+        assert!(!s.try_finish(2, 2));
+        assert_eq!(s.label(2), FINAL_TAG);
     }
 
     #[test]

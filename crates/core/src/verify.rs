@@ -1,7 +1,10 @@
 //! Partition utilities: SCC label vectors are only meaningful up to
 //! renaming, so comparisons and statistics go through a canonical form.
+//! Also the sequential reference the trimming phase is tested against.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+
+use pscc_graph::{DiGraph, V};
 
 /// Canonicalizes a label vector: components are renumbered `0..k` in order
 /// of first appearance, so two label vectors describe the same partition
@@ -33,6 +36,33 @@ pub fn component_stats<T: Copy + Eq + std::hash::Hash>(labels: &[T]) -> (usize, 
     }
     let largest = counts.values().copied().max().unwrap_or(0);
     (counts.len(), largest)
+}
+
+/// Which vertices complete trimming removes from a duplicate-free `g`, by
+/// sequential queue peeling: the reference [`scc::trim`](crate::scc::trim())
+/// is held to. A vertex dies once it has no live in- or no live
+/// out-neighbour other than itself, and takes all its edges with it.
+pub fn trimmed_by_peeling(g: &DiGraph) -> Vec<bool> {
+    let n = g.n();
+    let others = |ns: &[V], v: V| ns.iter().filter(|&&u| u != v).count();
+    let mut live_in: Vec<usize> = (0..n as V).map(|v| others(g.in_neighbors(v), v)).collect();
+    let mut live_out: Vec<usize> = (0..n as V).map(|v| others(g.out_neighbors(v), v)).collect();
+    let mut queue: VecDeque<V> =
+        (0..n as V).filter(|&v| live_in[v as usize] == 0 || live_out[v as usize] == 0).collect();
+    let mut dead = vec![false; n];
+    queue.iter().for_each(|&v| dead[v as usize] = true);
+    while let Some(v) = queue.pop_front() {
+        for (ns, live) in [(g.out_neighbors(v), &mut live_in), (g.in_neighbors(v), &mut live_out)] {
+            for &u in ns.iter().filter(|&&u| u != v) {
+                live[u as usize] -= 1;
+                if live[u as usize] == 0 && !dead[u as usize] {
+                    dead[u as usize] = true;
+                    queue.push_back(u);
+                }
+            }
+        }
+    }
+    dead
 }
 
 /// Groups vertex ids by label, each group sorted, groups sorted by their

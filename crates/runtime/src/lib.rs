@@ -44,7 +44,7 @@ pub use atomic::{atomic_max_u32, atomic_max_u64, atomic_min_u32, AtomicBits};
 pub use background::Background;
 pub use pack::{pack, pack_index, pack_map, tabulate};
 pub use parfor::{par_for, par_for_grain, par_range, par_range_with, DEFAULT_GRAIN};
-pub use permute::random_permutation;
+pub use permute::{random_permutation, random_permutation_of};
 pub use pool::{num_workers, with_threads};
 pub use pscc_telemetry::{PhaseTimer, Timer};
 pub use reduce::{par_count, par_max, par_reduce, par_sum_u64};

@@ -10,12 +10,24 @@ use crate::rng::hash64;
 /// Returns a pseudo-random permutation of `0..n` determined by `seed`.
 pub fn random_permutation(n: usize, seed: u64) -> Vec<u32> {
     assert!(n <= u32::MAX as usize, "vertex ids are u32");
-    let mut keyed: Vec<(u64, u32)> = (0..n as u32)
-        .map(|i| (hash64(seed ^ ((i as u64) << 1 | 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)), i))
+    random_permutation_of(0..n as u32, seed)
+}
+
+/// The distinct `ids` in the order [`random_permutation`] lists them for
+/// the same `seed`: an id's key does not depend on which others are
+/// present, so permuting a subset keeps its members' relative order.
+pub fn random_permutation_of(ids: impl IntoIterator<Item = u32>, seed: u64) -> Vec<u32> {
+    // One word per id: the top half of its keyed hash, then the id itself,
+    // which breaks ties and is what is left once the word is sorted.
+    let mut keyed: Vec<u64> = ids
+        .into_iter()
+        .map(|i| {
+            let key = hash64(seed ^ ((i as u64) << 1 | 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            key & !(u32::MAX as u64) | i as u64
+        })
         .collect();
-    // Parallel sort by key; ties (astronomically unlikely) break by id.
     crate::sort::par_sort_unstable(&mut keyed[..]);
-    keyed.into_iter().map(|(_, i)| i).collect()
+    keyed.into_iter().map(|word| word as u32).collect()
 }
 
 #[cfg(test)]
@@ -48,6 +60,14 @@ mod tests {
         let p = random_permutation(1000, 3);
         let identity: Vec<u32> = (0..1000).collect();
         assert_ne!(p, identity);
+    }
+
+    #[test]
+    fn a_subset_keeps_the_order_of_the_whole() {
+        let whole = random_permutation(5000, 9);
+        let thirds: Vec<u32> = whole.iter().copied().filter(|i| i % 3 == 0).collect();
+        assert_eq!(random_permutation_of((0..5000).step_by(3), 9), thirds);
+        assert!(random_permutation_of([], 9).is_empty());
     }
 
     #[test]

@@ -88,6 +88,8 @@ impl PairTable {
     /// only when it owns fewer.
     fn redimension(&mut self, slots: usize) {
         if slots > self.slots.len() {
+            // The old slots go first, so the new ones can take their place.
+            self.slots = Box::default();
             *self = Self::with_slots(slots);
         } else {
             self.clear();

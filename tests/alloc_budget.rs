@@ -77,13 +77,18 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 /// One lattice run may allocate this many times the graph's `(n + m) · 8`:
-/// 7.8× and 8.1× measured for the two runs below, 9.0× and 9.3× while
+/// 8.5× and 8.8× measured for the two runs below — trimming's two counter
+/// arrays (8 B per vertex, freed before the workspace exists) came in, the
+/// permutation's sort words (16 B per survivor, buffer included) replaced
+/// 32 B per vertex, and the batches, now slices of the survivors, size
+/// their tables differently; 7.8× and 8.1× before that, 9.0× and 9.3× while
 /// labeling kept 20 B per vertex of scratch and the result was a copy of
 /// the label array.
 const BUDGET: u64 = 9;
-/// One social-shaped run may allocate this many bytes per vertex: 84
-/// measured, 669 when a multi-reach batch peeled the giant SCC.
-const SOCIAL_BUDGET: u64 = 128;
+/// One social-shaped run may allocate this many bytes per vertex: 68
+/// measured (84 while the permutation was sorted over every vertex), 669
+/// when a multi-reach batch peeled the giant SCC.
+const SOCIAL_BUDGET: u64 = 96;
 
 /// (bytes allocated, allocations of at least `WIDE_BYTES`) at width 2
 /// while `f` runs, and what it returned.

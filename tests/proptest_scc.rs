@@ -5,7 +5,11 @@
 use proptest::prelude::*;
 
 use parallel_scc::prelude::*;
-use parallel_scc::scc::verify::{component_stats, normalize_labels, same_partition};
+use parallel_scc::scc::scc::trim;
+use parallel_scc::scc::verify::{
+    component_stats, normalize_labels, same_partition, trimmed_by_peeling,
+};
+use parallel_scc::scc::SccState;
 
 /// Arbitrary edge list over n vertices.
 fn arb_graph() -> impl Strategy<Value = DiGraph> {
@@ -16,8 +20,45 @@ fn arb_graph() -> impl Strategy<Value = DiGraph> {
     })
 }
 
+/// Sparse enough to be mostly trees hanging off a few cycles, and wide
+/// enough for the peel's frontiers to outgrow one sequential round.
+fn arb_sparse_graph() -> impl Strategy<Value = DiGraph> {
+    (100usize..600).prop_flat_map(|n| {
+        let edge = (0..n as u32, 0..n as u32);
+        proptest::collection::vec(edge, 0..(n * 2))
+            .prop_map(move |edges| DiGraph::from_edges(n, &edges))
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn trim_peels_exactly_the_reference_set_at_every_width(g in arb_sparse_graph()) {
+        let want = trimmed_by_peeling(&g);
+        for width in [1, 2, 8] {
+            let state = SccState::new(g.n());
+            let count = with_threads(width, || trim(&g, &state));
+            let got: Vec<bool> = (0..g.n() as V).map(|v| state.is_done(v)).collect();
+            prop_assert_eq!(&got, &want, "width {}", width);
+            prop_assert_eq!(count, want.iter().filter(|&&dead| dead).count());
+        }
+        let tarjan = tarjan_scc(&g);
+        let mut size = vec![0usize; g.n()];
+        tarjan.iter().for_each(|&c| size[c as usize] += 1);
+        for v in 0..g.n() as V {
+            if want[v as usize] {
+                prop_assert_eq!(size[tarjan[v as usize] as usize], 1, "trimmed {} is on a cycle", v);
+            } else {
+                for ns in [g.in_neighbors(v), g.out_neighbors(v)] {
+                    prop_assert!(
+                        ns.iter().any(|&u| u != v && !want[u as usize]),
+                        "survivor {} has no live neighbour on one side", v
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn scc_matches_tarjan(g in arb_graph()) {
