@@ -377,10 +377,9 @@ impl Index {
         sources.dedup();
         let mut affected = ancestors_of(&dag, &sources);
         affected.sort_unstable_by_key(|&c| std::cmp::Reverse(levels.levels[c as usize]));
-        let mut summary = self.summary.clone();
-        summary.splice_arcs(&dag, &arcs, &affected, cfg.exception_cap);
+        let summary = self.summary.splice_arcs(&dag, &arcs, &affected, cfg.exception_cap);
 
-        let mut support = self.support_table().realigned(self.dag.out_csr(), dag.out_csr());
+        let mut support = self.support_table().realigned(self.dag.out_csr(), dag.out_csr(), &arcs);
         Self::patch_support(&mut support, &self.scc.comp_of, dag.out_csr(), ins, del);
 
         let mut stats = self.stats.clone();
@@ -463,7 +462,7 @@ impl Index {
         let mut arcs: Vec<(V, V)> = arcs.to_vec();
         pscc_graph::dedup_edges(&mut arcs);
         let spliced = merge_csr(self.dag.out_csr(), &arcs, &[]);
-        let mut support = self.support_table().realigned(self.dag.out_csr(), &spliced);
+        let mut support = self.support_table().realigned(self.dag.out_csr(), &spliced, &arcs);
         Self::patch_support(&mut support, &self.scc.comp_of, &spliced, ins, del);
         let (out, support) = support.contracted(&spliced, &map, k_new);
 
@@ -503,7 +502,8 @@ impl Index {
         let mut dead: Vec<(V, V)> = dead.to_vec();
         pscc_graph::dedup_edges(&mut dead);
         let dag = self.dag.with_delta(&latent, &dead);
-        let support = support.realigned(self.dag.out_csr(), dag.out_csr());
+        let changed: Vec<(V, V)> = latent.iter().chain(&dead).copied().collect();
+        let support = support.realigned(self.dag.out_csr(), dag.out_csr(), &changed);
 
         let mut levels = self.levels.clone();
         let mut seeds: Vec<V> = dead.iter().chain(&latent).map(|&(_, b)| b).collect();
@@ -517,12 +517,10 @@ impl Index {
         affected.sort_unstable();
         affected.dedup();
         affected.sort_unstable_by_key(|&c| std::cmp::Reverse(levels.levels[c as usize]));
-        let mut summary = self.summary.clone();
-        // Bitset/interval tiers repair the affected ancestors in place;
-        // the label tier invalidates and relabels against the new DAG
-        // (exact certificates cannot be narrowed locally) — see
-        // `SummaryLayer::unsplice_arcs`.
-        summary.unsplice_arcs(&dag, &affected, &cfg.summary());
+        // Bitset/interval tiers repair the affected ancestors of a copy;
+        // the label tier relabels against the new DAG (exact certificates
+        // cannot be narrowed locally) — see `SummaryLayer::unsplice_arcs`.
+        let summary = self.summary.unsplice_arcs(&dag, &affected, &cfg.summary());
 
         let mut stats = self.stats.clone();
         stats.dag_arcs = dag.m();

@@ -18,9 +18,10 @@
 //! carries the support counts along).
 
 use crate::explain::QueryTier;
-use pscc_graph::{contract_csr, Csr, DiGraph, V};
+use pscc_graph::{contract_csr, merge_rows, splice_values, Csr, DiGraph, V};
 use pscc_runtime::SplitMix64;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Which descendant-summary representation an
 /// [`Index`](crate::index::Index) holds.
@@ -102,6 +103,7 @@ impl SccLayer {
 /// `latent ∩ DAG arcs = ∅`, every stored count is positive, and the DAG
 /// witnesses every latent pair's reachability without it.
 #[derive(Clone)]
+#[cfg_attr(test, derive(Debug, PartialEq))]
 pub(crate) struct SupportLayer {
     arc_counts: Vec<u64>,
     latent: BTreeMap<(u32, u32), u64>,
@@ -166,20 +168,35 @@ impl SupportLayer {
     /// after an arc splice/unsplice: surviving arcs keep their counts, a
     /// new arc takes its latent count (leaving the latent set) or starts at
     /// zero for the caller's `record_insert`s, removed arcs drop out.
-    pub fn realigned(&self, old: &Csr, new: &Csr) -> SupportLayer {
-        let mut latent = self.latent.clone();
-        let mut arc_counts = Vec::with_capacity(new.m());
-        for a in 0..new.n() as u32 {
-            let (kept, first) = (old.neighbors(a), old.offsets()[a as usize] as usize);
-            let mut i = 0usize;
-            for &b in new.neighbors(a) {
-                while i < kept.len() && kept[i] < b {
-                    i += 1;
+    ///
+    /// `changed` must hold every arc in which `old` and `new` differ (the
+    /// spliced, dead and drained latent arcs, in any order): only their
+    /// source rows are walked, every other row's counts are copied run-wise
+    /// ([`splice_values`], which asserts that no other row changed length).
+    pub fn realigned(&self, old: &Csr, new: &Csr, changed: &[(u32, u32)]) -> SupportLayer {
+        let mut rows: Vec<u32> = changed.iter().map(|&(a, _)| a).collect();
+        rows.sort_unstable();
+        rows.dedup();
+        let arc_counts =
+            splice_values(old.offsets(), &self.arc_counts, &rows, new.offsets(), |i, emit| {
+                let a = rows[i];
+                let (kept, first) = (old.neighbors(a), old.offsets()[a as usize] as usize);
+                let mut j = 0usize;
+                for &b in new.neighbors(a) {
+                    while j < kept.len() && kept[j] < b {
+                        j += 1;
+                    }
+                    emit(match kept.get(j) {
+                        Some(&kept_b) if kept_b == b => self.arc_counts[first + j],
+                        _ => self.latent.get(&(a, b)).copied().unwrap_or(0),
+                    });
                 }
-                arc_counts.push(match kept.get(i) {
-                    Some(&kept_b) if kept_b == b => self.arc_counts[first + i],
-                    _ => latent.remove(&(a, b)).unwrap_or(0),
-                });
+            });
+        // A latent pair that became an arc handed it its count above.
+        let mut latent = self.latent.clone();
+        for pair in changed {
+            if Self::arc_slot(new, *pair).is_some() {
+                latent.remove(pair);
             }
         }
         SupportLayer { arc_counts, latent }
@@ -320,10 +337,12 @@ impl IntervalLabeling {
 /// (position in the processing order), so every array is sorted and the
 /// highest-coverage hubs sit first — intersections hit early.
 #[derive(Clone)]
+#[cfg_attr(test, derive(Debug, PartialEq))]
 pub(crate) struct LabelLayer {
     /// Hub rank of each component (inverse of the degree-descending
     /// processing order); needed when a splice introduces a new hub entry.
-    rank_of: Vec<u32>,
+    /// Shared by every spliced descendant of one build.
+    rank_of: Arc<[u32]>,
     /// CSR offsets into `out_hubs`: `label_out(c)` = hubs `h` with `c ⇝ h`.
     out_offsets: Vec<u32>,
     out_hubs: Vec<u32>,
@@ -407,7 +426,7 @@ impl LabelLayer {
         }
         let (out_offsets, out_hubs) = flatten_labels(&label_out);
         let (in_offsets, in_hubs) = flatten_labels(&label_in);
-        Some(LabelLayer { rank_of, out_offsets, out_hubs, in_offsets, in_hubs })
+        Some(LabelLayer { rank_of: rank_of.into(), out_offsets, out_hubs, in_offsets, in_hubs })
     }
 
     /// The merge-intersection point query: true iff `label_out(cu)` and
@@ -441,7 +460,10 @@ impl LabelLayer {
     /// completeness both hold; pre-existing entries remain true because
     /// insertion only grows reachability. `dag` must be the post-splice
     /// DAG.
-    pub fn splice(&mut self, dag: &DiGraph, new_arcs: &[(V, V)]) {
+    ///
+    /// Returns the patched labeling; only the components that gain a hub
+    /// are merged, every other label is copied run-wise ([`merge_rows`]).
+    pub fn spliced(&self, dag: &DiGraph, new_arcs: &[(V, V)]) -> LabelLayer {
         let mut add_out: Vec<(V, u32)> = Vec::new();
         let mut add_in: Vec<(V, u32)> = Vec::new();
         for &(a, b) in new_arcs {
@@ -453,8 +475,17 @@ impl LabelLayer {
                 add_in.push((v, hub));
             }
         }
-        merge_into_csr(&mut self.out_offsets, &mut self.out_hubs, add_out);
-        merge_into_csr(&mut self.in_offsets, &mut self.in_hubs, add_in);
+        pscc_graph::dedup_edges(&mut add_out);
+        pscc_graph::dedup_edges(&mut add_in);
+        let (out_offsets, out_hubs) = merge_rows(&self.out_offsets, &self.out_hubs, &add_out, &[]);
+        let (in_offsets, in_hubs) = merge_rows(&self.in_offsets, &self.in_hubs, &add_in, &[]);
+        LabelLayer {
+            rank_of: Arc::clone(&self.rank_of),
+            out_offsets,
+            out_hubs,
+            in_offsets,
+            in_hubs,
+        }
     }
 }
 
@@ -490,42 +521,6 @@ fn flatten_labels(labels: &[Vec<u32>]) -> (Vec<u32>, Vec<u32>) {
         offsets.push(hubs.len() as u32);
     }
     (offsets, hubs)
-}
-
-/// Rebuilds a label CSR with `adds` = `(component, hub rank)` entries
-/// merged in (duplicates of existing entries are dropped, so the arrays
-/// stay sorted and strictly deduplicated).
-fn merge_into_csr(offsets: &mut Vec<u32>, hubs: &mut Vec<u32>, mut adds: Vec<(V, u32)>) {
-    if adds.is_empty() {
-        return;
-    }
-    adds.sort_unstable();
-    adds.dedup();
-    let k = offsets.len() - 1;
-    let mut new_offsets = Vec::with_capacity(offsets.len());
-    let mut new_hubs = Vec::with_capacity(hubs.len() + adds.len());
-    new_offsets.push(0u32);
-    let mut a = 0usize;
-    for c in 0..k {
-        let old = &hubs[offsets[c] as usize..offsets[c + 1] as usize];
-        let mut i = 0usize;
-        while a < adds.len() && adds[a].0 as usize == c {
-            let hub = adds[a].1;
-            while i < old.len() && old[i] < hub {
-                new_hubs.push(old[i]);
-                i += 1;
-            }
-            if i < old.len() && old[i] == hub {
-                i += 1; // already present
-            }
-            new_hubs.push(hub);
-            a += 1;
-        }
-        new_hubs.extend_from_slice(&old[i..]);
-        new_offsets.push(new_hubs.len() as u32);
-    }
-    *offsets = new_offsets;
-    *hubs = new_hubs;
 }
 
 /// The descendant-summary layer: answers `cu ⇝ cv` for component pairs
@@ -671,7 +666,8 @@ impl SummaryLayer {
         }
     }
 
-    /// Partial invalidation after an arc **splice** (insertions only).
+    /// Partial invalidation after an arc **splice** (insertions only),
+    /// returning the repaired layer.
     /// `new_arcs` are the spliced arcs and `dag` the post-splice DAG;
     /// `affected` must hold every component whose descendant set changed
     /// — the ancestors (sources included) of the new arcs' sources —
@@ -681,8 +677,9 @@ impl SummaryLayer {
     /// * Bitset tier: the affected rows are recomputed from their
     ///   (final) child rows; unaffected rows are untouched.
     /// * Label tier: exact hub-coverage extension over each new arc's
-    ///   `anc × desc` region — see [`LabelLayer::splice`] (`affected` is
-    ///   not needed; the arcs themselves drive the patch).
+    ///   `anc × desc` region — see [`LabelLayer::spliced`] (`affected` is
+    ///   not needed; the arcs themselves drive the patch, and nothing is
+    ///   cloned first).
     /// * Interval tier: the affected intervals are *widened* over their
     ///   children (`low` down, `rank` up), which keeps nesting a
     ///   necessary condition for reachability while never touching
@@ -691,17 +688,18 @@ impl SummaryLayer {
     ///   (the pruned DFS then simply descends — exactness is preserved
     ///   because a present list is always recomputed, never stale).
     pub fn splice_arcs(
-        &mut self,
+        &self,
         dag: &DiGraph,
         new_arcs: &[(V, V)],
         affected: &[V],
         exception_cap: usize,
-    ) {
+    ) -> SummaryLayer {
         if let SummaryLayer::Labels(labels) = self {
-            labels.splice(dag, new_arcs);
-            return;
+            return SummaryLayer::Labels(labels.spliced(dag, new_arcs));
         }
-        self.recompute_affected(dag, affected, exception_cap);
+        let mut repaired = self.clone();
+        repaired.recompute_affected(dag, affected, exception_cap);
+        repaired
     }
 
     /// Partial invalidation after arcs were **removed** (and possibly
@@ -714,18 +712,23 @@ impl SummaryLayer {
     /// them — so it invalidates and relabels from scratch against the new
     /// DAG (still far cheaper than a full index rebuild: SCCs, the DAG,
     /// and levels are all kept). If the relabel overflows the label
-    /// budget, the layer downgrades to the interval tier.
-    pub fn unsplice_arcs(&mut self, dag: &DiGraph, affected: &[V], cfg: &SummaryConfig) {
+    /// budget, the layer downgrades to the interval tier. Returns the
+    /// repaired layer; only the bitset/interval tiers clone this one.
+    pub fn unsplice_arcs(
+        &self,
+        dag: &DiGraph,
+        affected: &[V],
+        cfg: &SummaryConfig,
+    ) -> SummaryLayer {
         if matches!(self, SummaryLayer::Labels(_)) {
             if let Some(labels) = LabelLayer::build(dag, cfg.label_budget_bytes) {
-                *self = SummaryLayer::Labels(labels);
-                return;
+                return SummaryLayer::Labels(labels);
             }
             // Relabel overflowed the budget (possible when the repair also
             // spliced latent arcs in): downgrade to the interval tier. An
             // index DAG is acyclic by construction, so the order exists;
             // the unbounded relabel is the (unreachable) sound fallback.
-            *self = match pscc_apps::topological_order(dag) {
+            return match pscc_apps::topological_order(dag) {
                 Some(order) => SummaryLayer::Intervals {
                     labelings: build_labelings(dag, &order, cfg.labelings.max(1), cfg.seed),
                     exceptions: build_exceptions(dag, &order, cfg.exception_cap),
@@ -734,17 +737,18 @@ impl SummaryLayer {
                     debug_assert!(false, "index DAG must stay acyclic");
                     match LabelLayer::build(dag, usize::MAX) {
                         Some(labels) => SummaryLayer::Labels(labels),
-                        None => return,
+                        None => self.clone(),
                     }
                 }
             };
-            return;
         }
-        self.recompute_affected(dag, affected, cfg.exception_cap);
+        let mut repaired = self.clone();
+        repaired.recompute_affected(dag, affected, cfg.exception_cap);
+        repaired
     }
 
-    /// The shared bitset/interval repair pass over `affected` (see
-    /// [`Self::splice_arcs`]); the label tier never reaches it.
+    /// The shared in-place bitset/interval repair pass over `affected`
+    /// (see [`Self::splice_arcs`]); the label tier never reaches it.
     fn recompute_affected(&mut self, dag: &DiGraph, affected: &[V], exception_cap: usize) {
         match self {
             SummaryLayer::Labels(_) => {
@@ -1107,7 +1111,8 @@ mod tests {
         // Unsplice (1, 2) and splice in the surviving latent pair, plus a
         // brand-new arc (1, 3) whose edges the caller records afterwards.
         let next = dag.with_delta(&[(0, 2), (1, 3)], &[(1, 2)]);
-        let aligned = support.realigned(dag.out_csr(), next.out_csr());
+        let aligned = support.realigned(dag.out_csr(), next.out_csr(), &[(0, 2), (1, 3), (1, 2)]);
+        assert_eq!(aligned, realigned_reference(&support, dag.out_csr(), next.out_csr()));
         let rows: Vec<_> = aligned.entries(next.out_csr()).collect();
         assert_eq!(rows, vec![((0, 1), 2), ((0, 2), 3), ((1, 3), 0), ((2, 3), 4)]);
         assert_eq!(aligned.latent_arcs(), 0);
@@ -1197,23 +1202,20 @@ mod tests {
             let dag = random_dag(seed);
             let order = topological_order(&dag).unwrap();
             // New forward arcs (low -> high keeps it acyclic).
-            let new_arcs: Vec<(V, V)> = vec![(seed as V, 30 + seed as V), (2, 39)];
-            let new_arcs: Vec<(V, V)> = new_arcs
-                .into_iter()
-                .filter(|&(a, b)| dag.out_neighbors(a).binary_search(&b).is_err())
-                .collect();
+            let new_arcs = splice_arcs_for(&dag, seed);
             let spliced = dag.with_delta(&new_arcs, &[]);
             let sorder = topological_order(&spliced).unwrap();
             let mut levels = LevelLayer::build(&dag, &order);
             levels.splice(&spliced, &new_arcs);
 
             for (tier, cfg) in tier_configs() {
-                let (mut summary, _, _) = SummaryLayer::build(&dag, &order, &cfg);
+                let (summary, _, _) = SummaryLayer::build(&dag, &order, &cfg);
                 assert_eq!(summary.tier(), tier, "seed {seed}: forcing config picked wrong tier");
                 let sources: Vec<V> = new_arcs.iter().map(|&(s, _)| s).collect();
                 let mut affected = ancestors_of(&spliced, &sources);
                 affected.sort_unstable_by_key(|&c| std::cmp::Reverse(levels.levels[c as usize]));
-                summary.splice_arcs(&spliced, &new_arcs, &affected, cfg.exception_cap);
+                let summary =
+                    summary.splice_arcs(&spliced, &new_arcs, &affected, cfg.exception_cap);
 
                 let (want, _, _) = SummaryLayer::build(&spliced, &sorder, &cfg);
                 for cu in 0..40usize {
@@ -1252,12 +1254,12 @@ mod tests {
             levels.unsplice(&shrunk, &seeds);
 
             for (tier, cfg) in tier_configs() {
-                let (mut summary, _, _) = SummaryLayer::build(&dag, &order, &cfg);
+                let (summary, _, _) = SummaryLayer::build(&dag, &order, &cfg);
                 assert_eq!(summary.tier(), tier);
                 let sources: Vec<V> = dead.iter().map(|&(s, _)| s).collect();
                 let mut affected = ancestors_of(&dag, &sources);
                 affected.sort_unstable_by_key(|&c| std::cmp::Reverse(levels.levels[c as usize]));
-                summary.unsplice_arcs(&shrunk, &affected, &cfg);
+                let summary = summary.unsplice_arcs(&shrunk, &affected, &cfg);
 
                 let (want, _, _) = SummaryLayer::build(&shrunk, &sorder, &cfg);
                 for cu in 0..40usize {
@@ -1273,6 +1275,138 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The full-walk label merge [`LabelLayer::spliced`] replaced, kept as
+    /// its reference: rebuilds a label CSR with `adds` = `(component, hub rank)` entries
+    /// merged in (duplicates of existing entries are dropped, so the arrays
+    /// stay sorted and strictly deduplicated).
+    fn merge_into_csr(offsets: &mut Vec<u32>, hubs: &mut Vec<u32>, mut adds: Vec<(V, u32)>) {
+        if adds.is_empty() {
+            return;
+        }
+        adds.sort_unstable();
+        adds.dedup();
+        let k = offsets.len() - 1;
+        let mut new_offsets = Vec::with_capacity(offsets.len());
+        let mut new_hubs = Vec::with_capacity(hubs.len() + adds.len());
+        new_offsets.push(0u32);
+        let mut a = 0usize;
+        for c in 0..k {
+            let old = &hubs[offsets[c] as usize..offsets[c + 1] as usize];
+            let mut i = 0usize;
+            while a < adds.len() && adds[a].0 as usize == c {
+                let hub = adds[a].1;
+                while i < old.len() && old[i] < hub {
+                    new_hubs.push(old[i]);
+                    i += 1;
+                }
+                if i < old.len() && old[i] == hub {
+                    i += 1; // already present
+                }
+                new_hubs.push(hub);
+                a += 1;
+            }
+            new_hubs.extend_from_slice(&old[i..]);
+            new_offsets.push(new_hubs.len() as u32);
+        }
+        *offsets = new_offsets;
+        *hubs = new_hubs;
+    }
+
+    /// The old splice body over [`merge_into_csr`], on a clone.
+    fn spliced_reference(labels: &LabelLayer, dag: &DiGraph, new_arcs: &[(V, V)]) -> LabelLayer {
+        let mut out = labels.clone();
+        let mut add_out: Vec<(V, u32)> = Vec::new();
+        let mut add_in: Vec<(V, u32)> = Vec::new();
+        for &(a, b) in new_arcs {
+            let hub = out.rank_of[b as usize];
+            add_out.extend(ancestors_of(dag, &[a]).into_iter().map(|u| (u, hub)));
+            add_in.extend(descendants_of(dag, &[b]).into_iter().map(|v| (v, hub)));
+        }
+        merge_into_csr(&mut out.out_offsets, &mut out.out_hubs, add_out);
+        merge_into_csr(&mut out.in_offsets, &mut out.in_hubs, add_in);
+        out
+    }
+
+    /// The full-walk realign [`SupportLayer::realigned`] replaced, kept as
+    /// its reference: every row of `new` merged against `old`.
+    fn realigned_reference(support: &SupportLayer, old: &Csr, new: &Csr) -> SupportLayer {
+        let mut latent = support.latent.clone();
+        let mut arc_counts = Vec::with_capacity(new.m());
+        for a in 0..new.n() as u32 {
+            let (kept, first) = (old.neighbors(a), old.offsets()[a as usize] as usize);
+            let mut i = 0usize;
+            for &b in new.neighbors(a) {
+                while i < kept.len() && kept[i] < b {
+                    i += 1;
+                }
+                arc_counts.push(match kept.get(i) {
+                    Some(&kept_b) if kept_b == b => support.arc_counts[first + i],
+                    _ => latent.remove(&(a, b)).unwrap_or(0),
+                });
+            }
+        }
+        SupportLayer { arc_counts, latent }
+    }
+
+    /// The splice deltas of `summary_splice_matches_full_rebuild_all_tiers`.
+    fn splice_arcs_for(dag: &DiGraph, seed: u64) -> Vec<(V, V)> {
+        [(seed as V, 30 + seed as V), (2, 39)]
+            .into_iter()
+            .filter(|&(a, b)| dag.out_neighbors(a).binary_search(&b).is_err())
+            .collect()
+    }
+
+    /// On the random DAGs' splice and unsplice deltas, with latent pairs
+    /// that do and do not become arcs, the run-copy realign equals the
+    /// full walk: same counts, same latent map.
+    #[test]
+    fn support_realign_matches_the_full_walk_reference() {
+        for seed in 0..6u64 {
+            let dag = random_dag(seed);
+            let counts: Vec<u64> = (1..=dag.m() as u64).collect();
+            let new_arcs = splice_arcs_for(&dag, seed);
+            // Latent: one of the arcs about to be spliced, and pairs that stay latent.
+            let mut latent: Vec<((u32, u32), u64)> =
+                new_arcs.iter().take(1).map(|&p| (p, 5)).collect();
+            latent.extend(
+                [((0, 38), 2), ((1, 37), 1)].into_iter().filter(|&(p, _)| !new_arcs.contains(&p)),
+            );
+            latent.retain(|&((a, b), _)| dag.out_neighbors(a).binary_search(&b).is_err());
+            let support = support_of(&dag, &counts, &latent);
+
+            let spliced = dag.with_delta(&new_arcs, &[]);
+            let got = support.realigned(dag.out_csr(), spliced.out_csr(), &new_arcs);
+            let want = realigned_reference(&support, dag.out_csr(), spliced.out_csr());
+            assert_eq!(got, want, "seed {seed}: splice");
+
+            let all: Vec<(V, V)> = dag.out_csr().edges().collect();
+            let dead = vec![all[seed as usize % all.len()], all[all.len() / 2]];
+            let drained = support.latent_pairs();
+            let shrunk = dag.with_delta(&drained, &dead);
+            let changed: Vec<(V, V)> = drained.iter().chain(&dead).copied().collect();
+            let got = support.realigned(dag.out_csr(), shrunk.out_csr(), &changed);
+            let want = realigned_reference(&support, dag.out_csr(), shrunk.out_csr());
+            assert_eq!(got, want, "seed {seed}: unsplice");
+            assert_eq!(got.latent_arcs(), 0, "seed {seed}: every latent pair drained");
+        }
+    }
+
+    /// On the same splice deltas, the run-copy label patch yields the same
+    /// hub CSRs as the full-walk merge.
+    #[test]
+    fn label_splice_matches_the_full_walk_reference() {
+        for seed in 0..6u64 {
+            let dag = random_dag(seed);
+            let labels = LabelLayer::build(&dag, usize::MAX).unwrap();
+            let new_arcs = splice_arcs_for(&dag, seed);
+            let spliced = dag.with_delta(&new_arcs, &[]);
+            let got = labels.spliced(&spliced, &new_arcs);
+            assert_eq!(got, spliced_reference(&labels, &spliced, &new_arcs), "seed {seed}");
+            // An empty splice is an exact copy.
+            assert_eq!(labels.spliced(&dag, &[]), labels);
         }
     }
 

@@ -6,9 +6,15 @@
 //! no-ops); duplicates are removed so degree-based heuristics stay honest.
 //!
 //! [`merge_csr`] applies a sorted insertion/deletion delta to an existing
-//! CSR with one counting pass and one filling pass, both parallel over
-//! vertices — O(n/P + m/P + |delta|) instead of a from-scratch edge-list
-//! rebuild.
+//! CSR by the **run-copy splice** ([`splice_rows`]): only the rows the
+//! delta touches are merged, every run of untouched rows between them is
+//! one memory copy with its offsets shifted by the running size change,
+//! in parallel over fixed-size row chunks. A one-edge write costs
+//! O(|δ| log |δ| + Σ deg(touched)) merge work plus a bandwidth-bound copy
+//! of `(n + 1)·8 + m·4` bytes per direction — no per-vertex merge, no
+//! per-vertex search into the delta. The same kernel realigns the engine's
+//! arc-support table ([`splice_values`]) and patches its hub labels
+//! ([`merge_rows`] on `u32` offsets).
 
 use crate::csr::Csr;
 use crate::V;
@@ -54,17 +60,13 @@ pub fn build_csr(n: usize, edges: &[(V, V)]) -> Csr {
 /// duplicates (use [`dedup_edges`]) and every endpoint must be `< base.n()`.
 /// An edge present in both lists ends up **present**: insertions win.
 ///
-/// Both passes (degree counting and adjacency filling) run in parallel
-/// over vertices; each vertex merges its already-sorted adjacency list
-/// with its slice of the delta, so the whole merge is
-/// O(n/P + m/P + |delta|) and the output keeps the sorted,
-/// duplicate-free adjacency invariant of [`build_csr`].
+/// Only the rows the delta touches — the sources of `insertions ∪
+/// deletions` — are merged (see [`merge_rows`]); every other row is copied
+/// run-wise by [`splice_rows`]. The cost is O(|δ| + Σ deg(touched)) merge
+/// work plus a bandwidth-bound copy of `(n + 1)·8 + m·4` bytes, and the
+/// output keeps the sorted, duplicate-free adjacency invariant of
+/// [`build_csr`].
 pub fn merge_csr(base: &Csr, insertions: &[(V, V)], deletions: &[(V, V)]) -> Csr {
-    // Real asserts, not debug: unsorted input would make the binary
-    // searches silently return wrong slices and corrupt the output. The
-    // O(|delta|) scans are noise next to the merge itself.
-    assert!(insertions.windows(2).all(|w| w[0] < w[1]), "insertions must be sorted+deduped");
-    assert!(deletions.windows(2).all(|w| w[0] < w[1]), "deletions must be sorted+deduped");
     let n = base.n();
     let check = |edges: &[(V, V)]| {
         if let Some(&(u, v)) = edges.last() {
@@ -76,57 +78,275 @@ pub fn merge_csr(base: &Csr, insertions: &[(V, V)], deletions: &[(V, V)]) -> Csr
     };
     check(insertions);
     check(deletions);
-
-    // The delta slice owned by vertex u starts where edges with source >= u
-    // do; found by binary search per vertex inside the parallel passes.
-    fn slice_of(edges: &[(V, V)], u: V) -> &[(V, V)] {
-        let lo = edges.partition_point(|&(s, _)| s < u);
-        let hi = lo + edges[lo..].partition_point(|&(s, _)| s == u);
-        &edges[lo..hi]
-    }
-
-    // Pass 1: new per-vertex degrees.
-    let mut offsets = vec![0u64; n + 1];
-    {
-        let off = SendPtr(offsets.as_mut_ptr());
-        pscc_runtime::par_range(0..n, 1024, &|r| {
-            for u in r {
-                let ins = slice_of(insertions, u as V);
-                let del = slice_of(deletions, u as V);
-                let mut count = 0u64;
-                merge_adjacency(base.neighbors(u as V), ins, del, |_| count += 1);
-                // SAFETY: offsets has n+1 slots and each task writes
-                // only its own vertex slot u < n, exactly once.
-                unsafe { *off.get().add(u) = count };
-            }
-        });
-    }
-    let m = pscc_runtime::scan_exclusive(&mut offsets[..n]) as usize;
-    offsets[n] = m as u64;
-
-    // Pass 2: fill each (disjoint) adjacency segment.
-    let mut targets = vec![0 as V; m];
-    {
-        let tgt = SendPtr(targets.as_mut_ptr());
-        let offsets = &offsets;
-        pscc_runtime::par_range(0..n, 1024, &|r| {
-            for u in r {
-                let ins = slice_of(insertions, u as V);
-                let del = slice_of(deletions, u as V);
-                let mut pos = offsets[u] as usize;
-                merge_adjacency(base.neighbors(u as V), ins, del, |v| {
-                    // SAFETY: pos walks [offsets[u], offsets[u+1]),
-                    // vertex u's exclusive segment of `targets`; segments
-                    // tile the buffer without overlap and the scan sized
-                    // it to exactly m entries.
-                    unsafe { *tgt.get().add(pos) = v };
-                    pos += 1;
-                });
-                debug_assert_eq!(pos, offsets[u + 1] as usize);
-            }
-        });
-    }
+    let (offsets, targets) = merge_rows(base.offsets(), base.targets(), insertions, deletions);
     Csr::from_parts(offsets, targets)
+}
+
+/// Merges a delta into the sorted, duplicate-free rows of a CSR-shaped
+/// array (`offsets`, `values`): row `r` becomes its old values minus the
+/// `v` of every `(r, v)` in `deletions`, plus the `v` of every `(r, v)` in
+/// `insertions` (insertions win), still sorted and duplicate-free.
+///
+/// Both lists must be sorted with no duplicates and name rows `< n`. One
+/// walk over them finds the touched rows and each one's slice of both
+/// lists; pass 1 sizes only those rows, pass 2 ([`splice_rows`]) merges
+/// them and copies everything else run-wise.
+pub fn merge_rows<O: RowOffset>(
+    offsets: &[O],
+    values: &[V],
+    insertions: &[(V, V)],
+    deletions: &[(V, V)],
+) -> (Vec<O>, Vec<V>) {
+    // Real asserts, not debug: unsorted input would hand a row the wrong
+    // slice of the delta and corrupt the output. The O(|delta|) scans are
+    // noise next to the copy.
+    assert!(insertions.windows(2).all(|w| w[0] < w[1]), "insertions must be sorted+deduped");
+    assert!(deletions.windows(2).all(|w| w[0] < w[1]), "deletions must be sorted+deduped");
+    // touched[i]'s edges are ins[ins_at[i]..ins_at[i + 1]] and likewise del.
+    let (mut touched, mut ins_at, mut del_at) = (Vec::new(), vec![0], vec![0]);
+    let (mut i, mut j) = (0usize, 0usize);
+    loop {
+        let u = match (insertions.get(i), deletions.get(j)) {
+            (Some(a), Some(b)) => a.0.min(b.0),
+            (Some(a), None) => a.0,
+            (None, Some(b)) => b.0,
+            (None, None) => break,
+        };
+        while insertions.get(i).is_some_and(|e| e.0 == u) {
+            i += 1;
+        }
+        while deletions.get(j).is_some_and(|e| e.0 == u) {
+            j += 1;
+        }
+        touched.push(u);
+        ins_at.push(i);
+        del_at.push(j);
+    }
+    let row = |i: usize| {
+        let u = touched[i] as usize;
+        assert!(u + 1 < offsets.len(), "delta row {u} out of range (n={})", offsets.len() - 1);
+        let old = &values[offsets[u].get()..offsets[u + 1].get()];
+        (old, &insertions[ins_at[i]..ins_at[i + 1]], &deletions[del_at[i]..del_at[i + 1]])
+    };
+    let new_len = pscc_runtime::tabulate(touched.len(), |i| {
+        let (old, ins, del) = row(i);
+        let mut count = 0usize;
+        merge_adjacency(old, ins, del, |_| count += 1);
+        count
+    });
+    splice_rows(offsets, values, &touched, &new_len, |i, emit| {
+        let (old, ins, del) = row(i);
+        merge_adjacency(old, ins, del, emit);
+    })
+}
+
+/// An offset type of a CSR-shaped array (`offsets[r]..offsets[r + 1]` is
+/// row `r`'s slice of the values): `u64` for graph CSRs, `u32` for the
+/// label tier's hub arrays.
+pub trait RowOffset: Copy + Send + Sync {
+    /// Largest representable offset.
+    const MAX: usize;
+    /// The offset as an index.
+    fn get(self) -> usize;
+    /// An index `<= Self::MAX` as an offset.
+    fn of(i: usize) -> Self;
+}
+
+impl RowOffset for u64 {
+    const MAX: usize = usize::MAX;
+    #[inline]
+    fn get(self) -> usize {
+        self as usize
+    }
+    #[inline]
+    fn of(i: usize) -> Self {
+        i as u64
+    }
+}
+
+impl RowOffset for u32 {
+    const MAX: usize = u32::MAX as usize;
+    #[inline]
+    fn get(self) -> usize {
+        self as usize
+    }
+    #[inline]
+    fn of(i: usize) -> Self {
+        i as u32
+    }
+}
+
+/// Rows per task of [`splice_rows`] / [`splice_values`]: one worker copies
+/// a chunk, starting from the prefix shift of the touched rows before it.
+pub const SPLICE_CHUNK: usize = 1 << 12;
+
+/// The run-copy splice: row `touched[i]` of the CSR-shaped array
+/// (`offsets`, `values`) becomes the `new_len[i]` values `fill(i, emit)`
+/// emits; every other row keeps its values. Returns the new offsets and
+/// values.
+///
+/// Untouched rows are never visited one by one: each run of them between
+/// two touched rows is one `copy_nonoverlapping` of its values, and its
+/// offsets are shifted by the running size change. Rows are cut into
+/// chunks of [`SPLICE_CHUNK`], copied in parallel, each chunk starting
+/// from the prefix shift of the touched rows before it. The cost is the
+/// fill work of the touched rows plus a bandwidth-bound copy of both
+/// arrays, whatever the number of touched rows.
+///
+/// `touched` must be strictly ascending and `< n`, and `fill(i, _)` must
+/// emit exactly `new_len[i]` values; both are asserted.
+pub fn splice_rows<O: RowOffset, T: Copy + Send + Sync>(
+    offsets: &[O],
+    values: &[T],
+    touched: &[V],
+    new_len: &[usize],
+    fill: impl Fn(usize, &mut dyn FnMut(T)) + Sync,
+) -> (Vec<O>, Vec<T>) {
+    assert_eq!(touched.len(), new_len.len(), "one new length per touched row");
+    let n = check_rows(offsets, values, touched);
+    // shift[i]: size change of the rows touched[..i] (wrapping; offsets
+    // past a shrunken row are reached by adding it back).
+    let mut shift = Vec::with_capacity(touched.len() + 1);
+    shift.push(0usize);
+    for (&t, &len) in touched.iter().zip(new_len) {
+        let old_len = offsets[t as usize + 1].get().wrapping_sub(offsets[t as usize].get());
+        shift.push(shift[shift.len() - 1].wrapping_add(len).wrapping_sub(old_len));
+    }
+    let new_at = |r: usize| {
+        let before = touched.partition_point(|&t| (t as usize) < r);
+        offsets[r].get().wrapping_add(shift[before])
+    };
+    let m = new_at(n);
+    assert!(m <= O::MAX, "spliced array of {m} values overflows its offset type");
+    let mut new_offsets: Vec<O> = Vec::with_capacity(n + 1);
+    let out = splice(
+        offsets,
+        values,
+        touched,
+        |i| new_len[i],
+        new_at,
+        Some(SendPtr(new_offsets.as_mut_ptr())),
+        fill,
+    );
+    // SAFETY: `splice` returned, so its chunks wrote every row offset in
+    // 0..n; slot n is the one written here, inside the n + 1 capacity.
+    unsafe {
+        new_offsets.as_mut_ptr().add(n).write(O::of(m));
+        new_offsets.set_len(n + 1);
+    }
+    (new_offsets, out)
+}
+
+/// [`splice_rows`] when the new offsets are already known (a table aligned
+/// with a CSR whose new version exists): the new values only, row
+/// `touched[i]` filled with `new_offsets[t + 1] - new_offsets[t]` values,
+/// every other row copied run-wise from `values`. Asserts that untouched
+/// rows keep their lengths.
+pub fn splice_values<O: RowOffset, T: Copy + Send + Sync>(
+    offsets: &[O],
+    values: &[T],
+    touched: &[V],
+    new_offsets: &[O],
+    fill: impl Fn(usize, &mut dyn FnMut(T)) + Sync,
+) -> Vec<T> {
+    let n = check_rows(offsets, values, touched);
+    assert_eq!(new_offsets.len(), n + 1, "new offsets must cover the same rows");
+    let len = |i: usize| {
+        let t = touched[i] as usize;
+        new_offsets[t + 1].get().wrapping_sub(new_offsets[t].get())
+    };
+    splice(offsets, values, touched, len, |r| new_offsets[r].get(), None, fill)
+}
+
+/// Checks the shape shared by both splice entries and returns `n`.
+fn check_rows<O: RowOffset, T>(offsets: &[O], values: &[T], touched: &[V]) -> usize {
+    assert!(!offsets.is_empty(), "offsets must have length n+1");
+    let n = offsets.len() - 1;
+    assert_eq!(offsets[0].get(), 0, "offsets must start at 0");
+    assert_eq!(offsets[n].get(), values.len(), "offsets must end at the value count");
+    assert!(touched.windows(2).all(|w| w[0] < w[1]), "touched rows must be strictly ascending");
+    assert!(touched.last().is_none_or(|&t| (t as usize) < n), "touched row out of range (n={n})");
+    n
+}
+
+/// The chunked walk behind [`splice_rows`] and [`splice_values`].
+/// `new_at(r)` is row `r`'s new offset (asked at chunk boundaries only),
+/// `new_len(i)` touched row `i`'s new length; row offsets are written to
+/// `new_offsets` when given. Every chunk owns the output range
+/// `new_at(lo)..new_at(hi)` of its rows `lo..hi`, checks that its runs and
+/// rows tile exactly that range, and writes nowhere else.
+fn splice<O: RowOffset, T: Copy + Send + Sync>(
+    offsets: &[O],
+    values: &[T],
+    touched: &[V],
+    new_len: impl Fn(usize) -> usize + Sync,
+    new_at: impl Fn(usize) -> usize + Sync,
+    new_offsets: Option<SendPtr<O>>,
+    fill: impl Fn(usize, &mut dyn FnMut(T)) + Sync,
+) -> Vec<T> {
+    let n = offsets.len() - 1;
+    let m = new_at(n);
+    assert_eq!(new_at(0), 0, "new offsets must start at 0");
+    let mut out: Vec<T> = Vec::with_capacity(m);
+    let dst = SendPtr(out.as_mut_ptr());
+    pscc_runtime::par_range(0..n.div_ceil(SPLICE_CHUNK), 1, &|chunks| {
+        for c in chunks {
+            let (lo, hi) = (c * SPLICE_CHUNK, ((c + 1) * SPLICE_CHUNK).min(n));
+            let (mut pos, end) = (new_at(lo), new_at(hi));
+            assert!(pos <= end && end <= m, "rows {lo}..{hi} map outside the output");
+            let mut i = touched.partition_point(|&t| (t as usize) < lo);
+            let mut r = lo;
+            loop {
+                // The untouched run r..next: one copy, offsets shifted.
+                let next = touched.get(i).map_or(hi, |&t| (t as usize).min(hi));
+                let run = &values[offsets[r].get()..offsets[next].get()];
+                assert!(run.len() <= end - pos, "an untouched row changed length");
+                if let Some(off) = &new_offsets {
+                    let shift = pos.wrapping_sub(offsets[r].get());
+                    for (x, o) in (r..next).zip(&offsets[r..next]) {
+                        // SAFETY: x is a row of this chunk's lo..hi, and
+                        // each chunk writes only its own rows' offsets.
+                        unsafe { off.get().add(x).write(O::of(o.get().wrapping_add(shift))) };
+                    }
+                }
+                // SAFETY: pos..pos + run.len() lies in this chunk's own
+                // output range new_at(lo)..new_at(hi) (asserted above),
+                // which no other chunk writes; the source is a live slice.
+                unsafe {
+                    std::ptr::copy_nonoverlapping(run.as_ptr(), dst.get().add(pos), run.len())
+                };
+                pos += run.len();
+                if next == hi {
+                    break;
+                }
+                // The touched row `next`: filled in place.
+                let len = new_len(i);
+                assert!(len <= end - pos, "touched row {next} overflows its chunk");
+                if let Some(off) = &new_offsets {
+                    // SAFETY: `next` is a row of this chunk's lo..hi.
+                    unsafe { off.get().add(next).write(O::of(pos)) };
+                }
+                let mut written = 0usize;
+                fill(i, &mut |v| {
+                    assert!(written < len, "fill emitted more than {len} values for row {next}");
+                    // SAFETY: pos + written < pos + len <= end, inside this
+                    // chunk's own output range.
+                    unsafe { dst.get().add(pos + written).write(v) };
+                    written += 1;
+                });
+                assert_eq!(written, len, "fill emitted too few values for row {next}");
+                pos += len;
+                r = next + 1;
+                i += 1;
+            }
+            assert_eq!(pos, end, "an untouched row in {lo}..{hi} changed length");
+        }
+    });
+    // SAFETY: the chunks' ranges new_at(lo)..new_at(hi) tile 0..m (new_at
+    // is one pure function, new_at(0) == 0), and each chunk asserted that
+    // it wrote its whole range; a panic unwinds past this with length 0.
+    unsafe { out.set_len(m) };
+    out
 }
 
 /// Contracts `g` through `labels` (dense ids in `0..k`): the CSR with one
@@ -251,8 +471,8 @@ fn merge_adjacency(nb: &[V], ins: &[(V, V)], del: &[(V, V)], mut emit: impl FnMu
 
 /// Raw-pointer wrapper letting disjoint parallel writers share one buffer.
 struct SendPtr<T>(*mut T);
-// SAFETY: SendPtr is only handed to the per-vertex passes above, where
-// every task writes a disjoint slot or segment.
+// SAFETY: SendPtr is only handed to the parallel passes above, where
+// every task writes a disjoint slot, segment or chunk.
 unsafe impl<T> Sync for SendPtr<T> {}
 // SAFETY: see Sync above — plain memory, no thread affinity.
 unsafe impl<T> Send for SendPtr<T> {}
@@ -319,7 +539,8 @@ mod tests {
 
     /// Oracle for merge_csr: rebuild from the merged edge list.
     fn merge_oracle(base: &Csr, ins: &[(V, V)], del: &[(V, V)]) -> Csr {
-        let mut edges: Vec<(V, V)> = base.edges().filter(|e| !del.contains(e)).collect();
+        let mut edges: Vec<(V, V)> =
+            base.edges().filter(|e| del.binary_search(e).is_err()).collect();
         edges.extend_from_slice(ins);
         dedup_edges(&mut edges);
         build_csr(base.n(), &edges)
@@ -369,25 +590,104 @@ mod tests {
         let _ = merge_csr(&base, &[(0, 5)], &[]);
     }
 
+    /// Deltas on the first and last rows, on the rows around every chunk
+    /// boundary and on every row at once, over a graph of more than two
+    /// chunks, at widths 1, 2 and 8.
     #[test]
     fn merge_random_matches_rebuild_oracle() {
         use pscc_runtime::SplitMix64;
-        let n = 300usize;
+        let (n, chunk) = (3 * SPLICE_CHUNK + 17, SPLICE_CHUNK as V);
         let mut rng = SplitMix64::new(0xde17a);
-        let pair =
-            |rng: &mut SplitMix64| (rng.next_below(n as u64) as V, rng.next_below(n as u64) as V);
-        let mut base_edges: Vec<(V, V)> = (0..3000).map(|_| pair(&mut rng)).collect();
+        let target = |rng: &mut SplitMix64| rng.next_below(n as u64) as V;
+        let mut base_edges: Vec<(V, V)> =
+            (0..8 * n).map(|_| (target(&mut rng), target(&mut rng))).collect();
         dedup_edges(&mut base_edges);
         let base = build_csr(n, &base_edges);
-        for _ in 0..10 {
-            let mut ins: Vec<(V, V)> = (0..200).map(|_| pair(&mut rng)).collect();
-            dedup_edges(&mut ins);
-            // Deletions: a mix of real edges and absent ones.
-            let mut del: Vec<(V, V)> = base_edges.iter().step_by(7).copied().collect();
-            del.extend((0..50).map(|_| pair(&mut rng)));
-            dedup_edges(&mut del);
-            assert_eq!(merge_csr(&base, &ins, &del), merge_oracle(&base, &ins, &del));
+        let last = n as V - 1;
+        let edge_rows = [0, last, chunk - 1, chunk, chunk + 1, 2 * chunk - 1, 2 * chunk, 3 * chunk];
+        type Edges = Vec<(V, V)>;
+        let mut deltas: Vec<(Edges, Edges)> = Vec::new();
+        // One row at a time: insert, delete a present edge, delete the
+        // whole row, and insert plus delete on the same row.
+        for &u in &edge_rows {
+            let row: Vec<(V, V)> = base.neighbors(u).iter().map(|&v| (u, v)).collect();
+            deltas.push((vec![(u, target(&mut rng))], Vec::new()));
+            deltas.push((Vec::new(), row.iter().take(1).copied().collect()));
+            deltas.push((Vec::new(), row.clone()));
+            deltas.push((
+                vec![(u, target(&mut rng)), (u, last)],
+                row.iter().step_by(2).copied().collect(),
+            ));
         }
+        // All boundary rows together.
+        let ins: Vec<(V, V)> = edge_rows.iter().map(|&u| (u, target(&mut rng))).collect();
+        deltas.push((ins, edge_rows.iter().map(|&u| (u, 0)).collect()));
+        // Every row at once, with present and absent deletions.
+        let ins: Vec<(V, V)> = (0..n as V).map(|u| (u, target(&mut rng))).collect();
+        let mut del: Vec<(V, V)> = base_edges.iter().step_by(3).copied().collect();
+        del.extend((0..n as V).map(|u| (u, target(&mut rng))));
+        deltas.push((ins, del));
+        for (mut ins, mut del) in deltas {
+            dedup_edges(&mut ins);
+            dedup_edges(&mut del);
+            let want = merge_oracle(&base, &ins, &del);
+            for width in [1, 2, 8] {
+                let got = pscc_runtime::with_threads(width, || merge_csr(&base, &ins, &del));
+                assert_eq!(got, want, "width {width}, {} ins, {} del", ins.len(), del.len());
+            }
+        }
+    }
+
+    #[test]
+    fn splice_rows_works_on_u32_offsets_and_empty_rows() {
+        // Rows: [1, 2], [], [3], [] -> row 1 gains [7, 8], row 2 empties.
+        let (offsets, values) = (vec![0u32, 2, 2, 3, 3], vec![1u32, 2, 3]);
+        let (o, v) = splice_rows(&offsets, &values, &[1, 2], &[2, 0], |i, emit| {
+            if i == 0 {
+                emit(7);
+                emit(8);
+            }
+        });
+        assert_eq!((o, v), (vec![0u32, 2, 4, 4, 4], vec![1, 2, 7, 8]));
+        // No touched row: an exact copy.
+        let (o, v) = splice_rows(&offsets, &values, &[], &[], |_, _| {});
+        assert_eq!((o, v), (offsets, values));
+    }
+
+    #[test]
+    fn splice_values_follows_known_offsets() {
+        let old = build_csr(5, &[(0, 1), (0, 2), (3, 4)]);
+        let new = merge_csr(&old, &[(3, 0)], &[(0, 2)]);
+        let counts: Vec<u64> = vec![10, 20, 30];
+        let got = splice_values(old.offsets(), &counts, &[0, 3], new.offsets(), |i, emit| {
+            for k in 0..new.degree([0, 3][i]) {
+                emit(100 + k as u64);
+            }
+        });
+        assert_eq!(got, vec![100, 100, 101]);
+    }
+
+    #[test]
+    #[should_panic(expected = "changed length")]
+    fn splice_values_rejects_an_untouched_row_that_moved() {
+        let old = build_csr(3, &[(0, 1), (1, 2)]);
+        let new = merge_csr(&old, &[(1, 0)], &[]);
+        let _ = splice_values(old.offsets(), old.targets(), &[], new.offsets(), |_, _| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "fill emitted more")]
+    fn splice_rejects_a_fill_longer_than_its_row() {
+        let _ = splice_rows(&[0u64, 1], &[5u32], &[0], &[1], |_, emit| {
+            emit(1);
+            emit(2);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "too few")]
+    fn splice_rejects_a_fill_shorter_than_its_row() {
+        let _ = splice_rows(&[0u64, 1], &[5u32], &[0], &[2], |_, emit| emit(1));
     }
 
     /// The hash-map recount [`contract_csr`] replaced, kept as its oracle.

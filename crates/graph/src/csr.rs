@@ -242,9 +242,12 @@ impl DiGraph {
     /// The inputs need not be sorted or duplicate-free; an edge appearing
     /// in both lists ends up **present** (insertions win). Inserting an
     /// edge that already exists or deleting one that doesn't is a no-op.
-    /// Both adjacency structures are updated by a parallel per-vertex merge
-    /// ([`crate::builder::merge_csr`]) — O(n/P + m/P + |delta| log |delta|)
-    /// — rather than a from-scratch edge-list rebuild.
+    /// Both adjacency structures are updated by the run-copy splice of
+    /// [`crate::builder::merge_csr`]: only the rows the delta touches (its
+    /// sources in the out-CSR, its targets in the in-CSR) are merged, and
+    /// every run of untouched rows is copied in one piece, in parallel over
+    /// row chunks. Cost: O(|δ| log |δ| + Σ deg(touched)) merge work plus a
+    /// bandwidth-bound copy of `(n + 1)·8 + m·4` bytes per direction.
     ///
     /// Panics if an endpoint is `>= self.n()`, matching [`DiGraph::from_edges`].
     pub fn with_delta(&self, insertions: &[(V, V)], deletions: &[(V, V)]) -> DiGraph {

@@ -16,7 +16,10 @@ pub mod stats;
 pub mod view;
 pub mod wcsr;
 
-pub use builder::{build_csr, contract_csr, csr_from_weighted_arcs, dedup_edges, merge_csr};
+pub use builder::{
+    build_csr, contract_csr, csr_from_weighted_arcs, dedup_edges, merge_csr, merge_rows,
+    splice_rows, splice_values, RowOffset, SPLICE_CHUNK,
+};
 pub use csr::{Csr, DiGraph, UnGraph};
 pub use view::SubgraphView;
 pub use wcsr::WCsr;

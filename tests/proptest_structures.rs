@@ -1,11 +1,13 @@
 //! Property-based tests on the core data structures: the parallel hash
-//! bag, the phase-concurrent pair table, and concurrent union-find.
+//! bag, the phase-concurrent pair table, concurrent union-find, and the
+//! run-copy CSR merge behind `DiGraph::with_delta`.
 
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 
 use parallel_scc::bag::{BagConfig, HashBag};
 use parallel_scc::cc::ConcurrentUnionFind;
+use parallel_scc::graph::{DiGraph, SPLICE_CHUNK};
 use parallel_scc::runtime::par_for;
 use parallel_scc::table::{Insert, PairTable};
 
@@ -110,5 +112,36 @@ proptest! {
         let bag: HashBag<u32> = HashBag::with_config(n, cfg);
         par_for(n, |i| bag.insert(i as u32));
         prop_assert_eq!(bag.extract_all().len(), n);
+    }
+
+    /// `g.with_delta(I, D)` is `DiGraph::from_edges((E ∖ D) ∪ I)` in both
+    /// directions, on graphs up to three splice chunks long: `I` re-inserts
+    /// present edges, `D` deletes absent ones, and the pairs in both lists
+    /// must end up present.
+    #[test]
+    fn with_delta_equals_a_rebuild_of_the_merged_edge_list(
+        n in 1usize..3 * SPLICE_CHUNK,
+        edges in proptest::collection::vec((0usize..1 << 16, 0usize..1 << 16), 0..1500),
+        fresh in proptest::collection::vec((0usize..1 << 16, 0usize..1 << 16), 0..60),
+        picks in proptest::collection::vec(0usize..1500, 0..60),
+    ) {
+        let pair = |(a, b): (usize, usize)| ((a % n) as u32, (b % n) as u32);
+        let edges: Vec<(u32, u32)> = edges.into_iter().map(pair).collect();
+        let fresh: Vec<(u32, u32)> = fresh.into_iter().map(pair).collect();
+        let present: Vec<(u32, u32)> =
+            picks.iter().filter_map(|&k| edges.get(k % edges.len().max(1)).copied()).collect();
+        let (both, absent) = fresh.split_at(fresh.len() / 2);
+        let (reinserted, deleted) = present.split_at(present.len() / 2);
+        let ins: Vec<(u32, u32)> = both.iter().chain(reinserted).copied().collect();
+        let del: Vec<(u32, u32)> = both.iter().chain(absent).chain(deleted).copied().collect();
+
+        let g = DiGraph::from_edges(n, &edges);
+        let got = g.with_delta(&ins, &del);
+        let mut want: BTreeSet<(u32, u32)> = edges.iter().copied().collect();
+        del.iter().for_each(|e| { want.remove(e); });
+        want.extend(&ins);
+        let want = DiGraph::from_edges(n, &want.into_iter().collect::<Vec<_>>());
+        prop_assert_eq!(got.out_csr(), want.out_csr());
+        prop_assert_eq!(got.in_csr(), want.in_csr());
     }
 }
