@@ -580,6 +580,30 @@ mod tests {
     }
 
     #[test]
+    fn a_checksum_valid_snapshot_with_unsorted_rows_is_not_healthy() {
+        let dir = tmpdir("rows");
+        let cat = Catalog::new();
+        cat.insert("g", DiGraph::from_edges(4, &[(0, 1), (0, 3), (1, 2), (1, 3)]));
+        cat.persist_to("g", &dir).unwrap();
+        drop(cat);
+        // Rows [1, 3] and [2, 3] become [3, 1] and [2, 2] — the last 16
+        // bytes before the trailing checksum — and the checksum is redone.
+        let snap = inspect::list_snapshots(&dir.join(encode_name("g"))).unwrap().remove(0).path;
+        let mut bytes = std::fs::read(&snap).unwrap();
+        let end = bytes.len() - 8;
+        for (slot, t) in bytes[end - 16..end].chunks_exact_mut(4).zip([3u32, 1, 2, 2]) {
+            slot.copy_from_slice(&t.to_le_bytes());
+        }
+        let crc = pscc_graph::io::Checksum64::of(&bytes[..end]);
+        bytes[end..].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&snap, &bytes).unwrap();
+        let diag = diagnose(&dir, 20).unwrap();
+        assert!(!diag.healthy(), "{}", diag.report);
+        assert!(diag.corruption.iter().any(|c| c.contains("vertex 0")), "{:?}", diag.corruption);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
     fn queries_file_parses_and_rejects() {
         let text = "# comment\n\ng 0 5\nother 3 4\n";
         let qs = parse_queries(text).unwrap();

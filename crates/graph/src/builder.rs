@@ -470,14 +470,15 @@ fn merge_adjacency(nb: &[V], ins: &[(V, V)], del: &[(V, V)], mut emit: impl FnMu
 }
 
 /// Raw-pointer wrapper letting disjoint parallel writers share one buffer.
-struct SendPtr<T>(*mut T);
-// SAFETY: SendPtr is only handed to the parallel passes above, where
-// every task writes a disjoint slot, segment or chunk.
+pub(crate) struct SendPtr<T>(pub(crate) *mut T);
+// SAFETY: SendPtr is only handed to the parallel passes above and to
+// `Csr::transpose`, where every task writes a disjoint slot, segment,
+// chunk, block row or column.
 unsafe impl<T> Sync for SendPtr<T> {}
 // SAFETY: see Sync above — plain memory, no thread affinity.
 unsafe impl<T> Send for SendPtr<T> {}
 impl<T> SendPtr<T> {
-    fn get(&self) -> *mut T {
+    pub(crate) fn get(&self) -> *mut T {
         self.0
     }
 }

@@ -5,6 +5,11 @@
 //! CSR with its transpose (in-adjacency), which backward reachability
 //! searches (Alg. 1 line 7) and the dense mode of §4.2 both need.
 //! [`UnGraph`] is a symmetric CSR for connectivity and LE-lists.
+//!
+//! Every in-CSR in the system is built by one kernel, [`Csr::transpose`]:
+//! a stable blocked counting sort, O(B·n + m) for `B` ≤ workers blocks of
+//! source rows, with no atomics. Its in-lists are sorted by construction,
+//! and it accepts out-rows that are unsorted or hold duplicates.
 
 use crate::V;
 
@@ -74,72 +79,119 @@ impl Csr {
         &self.targets
     }
 
-    /// Builds the transpose (reversed-edge) CSR via parallel counting sort.
+    /// Builds the transpose (reversed-edge) CSR by a stable blocked
+    /// counting sort.
+    ///
+    /// The source rows are cut into `B = min(workers, max(1, m / n))`
+    /// contiguous blocks of about `m / B` edges (block boundaries are row
+    /// boundaries). Each block counts its targets into its own row of one
+    /// `B × n` matrix of `u32` counters; one parallel pass over the columns
+    /// sums each column into an in-degree, which [`scan_exclusive`] turns
+    /// into the offsets, and rewrites the column as per-block ranks; then
+    /// every block scatters its sources in ascending order. Every in-list
+    /// is therefore sorted by construction — no atomic read-modify-write,
+    /// no per-list sort — and the output does not depend on `B`.
+    ///
+    /// Input rows may be unsorted or hold duplicates: each in-list is the
+    /// ascending multiset of the sources naming it. Every in-degree must
+    /// stay below 2³² (a graph without duplicate edges always does).
+    ///
+    /// Cost: O(B·n + m) work; the output's `(n + 1)·8 + m·4` bytes plus
+    /// `B·n·4` bytes of counters, all allocated by the calling thread.
+    ///
+    /// [`scan_exclusive`]: pscc_runtime::scan_exclusive
     pub fn transpose(&self) -> Csr {
-        use pscc_runtime::{par_range, scan_exclusive};
-        use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+        use crate::builder::SendPtr;
+        use pscc_runtime::{num_workers, par_range, scan_exclusive};
 
-        let n = self.n();
-        let m = self.m();
-        // Count in-degrees.
-        let counts: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        par_range(0..n, 256, &|r| {
-            for v in r {
-                for &u in self.neighbors(v as V) {
-                    counts[u as usize].fetch_add(1, Ordering::Relaxed);
+        let (n, m) = (self.n(), self.m());
+        let (src_offsets, src_targets) = (self.offsets(), self.targets());
+        let blocks = num_workers().min((m / n.max(1)).max(1));
+        // Block b owns source rows row(b)..row(b + 1): from the first row
+        // starting at or past its share b·m/B of the edges.
+        let row = |b: usize| {
+            if b == blocks {
+                n
+            } else {
+                src_offsets.partition_point(|&o| (o as usize) < b * m / blocks)
+            }
+        };
+        let edges = |b: usize| src_offsets[row(b)] as usize..src_offsets[row(b + 1)] as usize;
+
+        // Count: block b tallies its targets into matrix row b.
+        let mut ranks = vec![0u32; blocks * n];
+        let ranks_at = SendPtr(ranks.as_mut_ptr());
+        let block_row = |b: usize| {
+            // SAFETY: matrix row b, ranks[b·n..(b + 1)·n], is only ever
+            // touched by the task running block b, in the count and the
+            // scatter; the column pass runs between them, not beside them.
+            unsafe { std::slice::from_raw_parts_mut(ranks_at.get().add(b * n), n) }
+        };
+        par_range(0..blocks, 1, &|bs| {
+            for b in bs {
+                let counts = block_row(b);
+                for &u in &src_targets[edges(b)] {
+                    counts[u as usize] += 1;
                 }
             }
         });
-        let mut offsets: Vec<u64> = counts.iter().map(|c| c.load(Ordering::Relaxed)).collect();
-        offsets.push(0);
-        // Exclusive scan turns counts into offsets; the pushed 0 becomes m.
+
+        // Columns: in-degree of v = Σ_b counts[b][v]; counts[b][v] becomes
+        // block b's rank inside v's in-list (the counts of blocks < b).
+        let mut offsets = vec![0u64; n + 1];
+        let degree_at = SendPtr(offsets.as_mut_ptr());
+        par_range(0..n, COLUMN_GRAIN, &|vs| {
+            for v in vs {
+                let mut degree = 0u32;
+                for b in 0..blocks {
+                    // SAFETY: column v — slot b·n + v of every matrix row —
+                    // belongs to the task holding v, and no block task runs.
+                    unsafe {
+                        let slot = ranks_at.get().add(b * n + v);
+                        let count = *slot;
+                        *slot = degree;
+                        degree += count;
+                    }
+                }
+                // SAFETY: offsets[v] is written by the task holding v only.
+                unsafe { degree_at.get().add(v).write(degree as u64) };
+            }
+        });
         let total = scan_exclusive(&mut offsets[..n]);
         debug_assert_eq!(total as usize, m);
         offsets[n] = total;
 
-        // Scatter edges to their transposed positions.
-        let cursors: Vec<AtomicU64> = offsets[..n].iter().map(|&o| AtomicU64::new(o)).collect();
-        let targets: Vec<AtomicU32> = (0..m).map(|_| AtomicU32::new(0)).collect();
-        par_range(0..n, 256, &|r| {
-            for v in r {
-                for &u in self.neighbors(v as V) {
-                    let pos = cursors[u as usize].fetch_add(1, Ordering::Relaxed) as usize;
-                    targets[pos].store(v as V, Ordering::Relaxed);
+        // Scatter: block b walks its sources in ascending order, so each
+        // in-list receives block 0's sources, then block 1's, …, sorted.
+        let mut targets: Vec<V> = Vec::with_capacity(m);
+        let target_at = SendPtr(targets.as_mut_ptr());
+        par_range(0..blocks, 1, &|bs| {
+            for b in bs {
+                let rank = block_row(b);
+                for src in row(b)..row(b + 1) {
+                    for &u in self.neighbors(src as V) {
+                        let pos = offsets[u as usize] as usize + rank[u as usize] as usize;
+                        rank[u as usize] += 1;
+                        // SAFETY: block b owns slots offsets[u] + (its rank
+                        // .. its rank + its count) of in-list u, a range the
+                        // column pass made disjoint from every other block's
+                        // and inside 0..m; count and scatter read the same
+                        // immutable edges, so no slot is written twice.
+                        unsafe { target_at.get().add(pos).write(src as V) };
+                    }
                 }
             }
         });
-        let mut targets: Vec<V> = targets.into_iter().map(|a| a.into_inner()).collect();
-        // Sort each in-neighbor list for deterministic layout.
-        let tptr = TargetsPtr(targets.as_mut_ptr());
-        par_range(0..n, 64, &|r| {
-            for v in r {
-                let lo = offsets[v] as usize;
-                let hi = offsets[v + 1] as usize;
-                // SAFETY: [offsets[v], offsets[v+1]) is vertex v's
-                // exclusive segment of `targets`; segments tile the
-                // buffer without overlap, so each task sorts private
-                // memory.
-                unsafe {
-                    let seg = std::slice::from_raw_parts_mut(tptr.get().add(lo), hi - lo);
-                    seg.sort_unstable();
-                }
-            }
-        });
+        // SAFETY: the blocks' ranges tile every in-list, and the in-lists
+        // tile 0..m, so all m slots are initialized; a panic unwinds past
+        // this with length 0.
+        unsafe { targets.set_len(m) };
         Csr::from_parts(offsets, targets)
     }
 }
 
-struct TargetsPtr(*mut V);
-// SAFETY: TargetsPtr is only shared with the per-vertex segment sort
-// above, where tasks mutate disjoint CSR segments.
-unsafe impl Sync for TargetsPtr {}
-// SAFETY: see Sync above — plain memory, no thread affinity.
-unsafe impl Send for TargetsPtr {}
-impl TargetsPtr {
-    fn get(&self) -> *mut V {
-        self.0
-    }
-}
+/// Columns per task of the column pass in [`Csr::transpose`].
+const COLUMN_GRAIN: usize = 1 << 12;
 
 /// A directed graph storing both the out-adjacency and in-adjacency CSR.
 #[derive(Clone, Debug)]
@@ -150,6 +202,11 @@ pub struct DiGraph {
 
 impl DiGraph {
     /// Builds from an out-adjacency CSR, computing the transpose.
+    ///
+    /// Cost: one [`Csr::transpose`] — O(B·n + m) work with `B` ≤ workers,
+    /// and `B·n·4` bytes of counters beside the in-CSR's own
+    /// `(n + 1)·8 + m·4`. This is what loading a snapshot or building a
+    /// graph from edges pays on top of reading or sorting the out-CSR.
     pub fn from_out_csr(out: Csr) -> Self {
         let inn = out.transpose();
         Self { out, inn }
@@ -393,6 +450,28 @@ mod tests {
         assert_eq!(t.neighbors(1), &[0]);
         assert_eq!(t.neighbors(0), &[] as &[V]);
         assert_eq!(t.m(), g.m());
+    }
+
+    #[test]
+    fn transpose_sorts_unsorted_and_duplicated_rows() {
+        // Rows [3, 1], [2, 2], [], [0, 3, 0]: in-lists are the ascending
+        // multisets of their sources.
+        let g = Csr::from_parts(vec![0, 2, 4, 4, 7], vec![3, 1, 2, 2, 0, 3, 0]);
+        for width in [1, 2, 8] {
+            let t = pscc_runtime::with_threads(width, || g.transpose());
+            assert_eq!(t.offsets(), &[0, 2, 3, 5, 7], "width {width}");
+            assert_eq!(t.targets(), &[3, 3, 0, 1, 1, 0, 3], "width {width}");
+        }
+    }
+
+    #[test]
+    fn transpose_of_a_hub_leaves_blocks_empty() {
+        // Row 0 holds every edge, so every block past the first is empty.
+        let g = Csr::from_parts(vec![0, 6, 6, 6], vec![2, 1, 0, 2, 1, 0]);
+        let t = pscc_runtime::with_threads(8, || g.transpose());
+        assert_eq!(t, Csr::from_parts(vec![0, 2, 4, 6], vec![0, 0, 0, 0, 0, 0]));
+        assert_eq!(Csr::empty(0).transpose(), Csr::empty(0));
+        assert_eq!(Csr::empty(3).transpose(), Csr::empty(3));
     }
 
     #[test]

@@ -7,6 +7,20 @@
 //! n m          <- header: vertex count, edge count
 //! u v          <- one directed edge per line
 //! ```
+//!
+//! Binary format (all integers little-endian):
+//! ```text
+//! "PSCCCSR1"             8-byte magic
+//! n: u64                 vertex count, < 2³² − 1
+//! m: u64                 edge count
+//! offsets: u64 × (n + 1) offsets[0] = 0, non-decreasing, offsets[n] = m
+//! targets: u32 × m       each < n; row v = targets[offsets[v]..offsets[v + 1]]
+//!                        is strictly increasing (sorted, no duplicates)
+//! ```
+//! The reader checks every rule and the writer refuses a graph that breaks
+//! one, so everything [`write_binary`] produces [`read_binary`] accepts.
+//! Both move the arrays through one fixed 64 KiB slab: one `write_all` /
+//! `read_exact` per slab, the reader's checks folded into the decode.
 
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
@@ -185,19 +199,72 @@ impl Checksum64 {
     }
 }
 
+/// Bytes per slab of the binary format's offsets and targets: a multiple
+/// of both element widths, so no element straddles two slabs.
+const SLAB_BYTES: usize = 1 << 16;
+
 /// Writes the out-CSR of `g` in the binary format to an arbitrary writer
 /// (the embeddable form of [`write_binary`]; `pscc-store` frames it inside
 /// checksummed snapshot files).
+///
+/// Refuses, with [`io::ErrorKind::InvalidInput`] and before writing a byte,
+/// a graph with a row that is not strictly increasing: the reader would
+/// reject the file (see the [module docs](self)).
 pub fn write_binary_to<W: Write>(g: &DiGraph, w: &mut W) -> io::Result<()> {
-    w.write_all(BIN_MAGIC)?;
     let csr = g.out_csr();
+    if let Some(v) = (0..csr.n() as V).find(|&v| !strictly_increasing(csr.neighbors(v))) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "row of vertex {v} is not strictly increasing; the binary reader would reject it"
+            ),
+        ));
+    }
+    w.write_all(BIN_MAGIC)?;
     w.write_all(&(csr.n() as u64).to_le_bytes())?;
     w.write_all(&(csr.m() as u64).to_le_bytes())?;
-    for &o in csr.offsets() {
-        w.write_all(&o.to_le_bytes())?;
+    let mut slab = vec![0u8; SLAB_BYTES];
+    write_slabs(w, &mut slab, csr.offsets(), |o| o.to_le_bytes())?;
+    write_slabs(w, &mut slab, csr.targets(), |t| t.to_le_bytes())
+}
+
+fn strictly_increasing(row: &[V]) -> bool {
+    row.windows(2).all(|w| w[0] < w[1])
+}
+
+/// Encodes `items` into `slab` and writes each full or final slab with one
+/// `write_all`.
+fn write_slabs<W: Write, T: Copy, const N: usize>(
+    w: &mut W,
+    slab: &mut [u8],
+    items: &[T],
+    le_bytes: impl Fn(T) -> [u8; N],
+) -> io::Result<()> {
+    for chunk in items.chunks(slab.len() / N) {
+        let bytes = &mut slab[..chunk.len() * N];
+        for (dst, &x) in bytes.as_chunks_mut::<N>().0.iter_mut().zip(chunk) {
+            *dst = le_bytes(x);
+        }
+        w.write_all(bytes)?;
     }
-    for &t in csr.targets() {
-        w.write_all(&t.to_le_bytes())?;
+    Ok(())
+}
+
+/// Reads `len` bytes from `r` into `slab`, one `read_exact` per slab, and
+/// hands each slab's bytes to `decode` (whole elements: `len` and the slab
+/// are multiples of the element width).
+fn read_slabs<R: Read>(
+    r: &mut R,
+    slab: &mut [u8],
+    len: usize,
+    mut decode: impl FnMut(&[u8]) -> io::Result<()>,
+) -> io::Result<()> {
+    let (mut left, size) = (len, slab.len());
+    while left > 0 {
+        let bytes = &mut slab[..left.min(size)];
+        r.read_exact(bytes)?;
+        decode(bytes)?;
+        left -= bytes.len();
     }
     Ok(())
 }
@@ -220,8 +287,10 @@ pub fn write_binary<P: AsRef<Path>>(g: &DiGraph, path: P) -> io::Result<()> {
 ///
 /// The header is distrusted: the implied payload size is checked against
 /// the actual file length *before* any allocation, offsets are checked
-/// for `offsets[0] == 0`, monotonicity, and `offsets[n] == m`, and every
-/// target must be `< n`. A corrupt or truncated file yields
+/// for `offsets[0] == 0`, monotonicity, and `offsets[n] == m`, every
+/// target must be `< n`, and every row strictly increasing (an unsorted or
+/// duplicated row would silently break the binary searches and merges
+/// of later updates). A corrupt or truncated file yields
 /// [`io::ErrorKind::InvalidData`] (or the underlying read error) — never
 /// a panic and never a speculative multi-GB allocation.
 pub fn read_binary<P: AsRef<Path>>(path: P) -> io::Result<DiGraph> {
@@ -269,30 +338,45 @@ pub fn read_binary_from<R: Read>(r: &mut R, limit: u64) -> io::Result<DiGraph> {
         }
     }
     let (n, m) = (n64 as usize, m64 as usize);
-    let mut offsets = Vec::with_capacity(n + 1);
-    for _ in 0..=n {
-        r.read_exact(&mut buf8)?;
-        offsets.push(u64::from_le_bytes(buf8));
-    }
-    if offsets[0] != 0 {
-        return invalid("offsets[0] must be 0");
-    }
-    if let Some(w) = offsets.windows(2).position(|w| w[0] > w[1]) {
-        return invalid(format!("offsets not monotone at vertex {w}"));
-    }
+    let mut slab = vec![0u8; SLAB_BYTES];
+    let mut offsets: Vec<u64> = Vec::with_capacity(n + 1);
+    read_slabs(r, &mut slab, (n + 1) * 8, |bytes| {
+        for &word in bytes.as_chunks::<8>().0 {
+            let o = u64::from_le_bytes(word);
+            match offsets.last() {
+                None if o != 0 => return invalid("offsets[0] must be 0"),
+                Some(&prev) if prev > o => {
+                    return invalid(format!("offsets not monotone at vertex {}", offsets.len() - 1))
+                }
+                _ => offsets.push(o),
+            }
+        }
+        Ok(())
+    })?;
     if offsets[n] != m64 {
         return invalid(format!("offsets[n] = {} disagrees with header m = {m}", offsets[n]));
     }
-    let mut targets = Vec::with_capacity(m);
-    let mut buf4 = [0u8; 4];
-    for i in 0..m {
-        r.read_exact(&mut buf4)?;
-        let t = u32::from_le_bytes(buf4);
-        if t as usize >= n {
-            return invalid(format!("target {t} at position {i} out of range (n={n})"));
+    let mut targets: Vec<V> = Vec::with_capacity(m);
+    // Row v holds position targets.len(); rows end at offsets[v + 1] < m.
+    let mut v = 0usize;
+    read_slabs(r, &mut slab, m * 4, |bytes| {
+        for &word in bytes.as_chunks::<4>().0 {
+            let (t, i) = (u32::from_le_bytes(word), targets.len());
+            if t as usize >= n {
+                return invalid(format!("target {t} at position {i} out of range (n={n})"));
+            }
+            while offsets[v + 1] as usize <= i {
+                v += 1;
+            }
+            if i > offsets[v] as usize && targets[i - 1] >= t {
+                return invalid(format!(
+                    "row of vertex {v} is not strictly increasing at position {i}"
+                ));
+            }
+            targets.push(t);
         }
-        targets.push(t);
-    }
+        Ok(())
+    })?;
     Ok(DiGraph::from_out_csr(Csr::from_parts(offsets, targets)))
 }
 
@@ -519,6 +603,70 @@ mod tests {
         let mut rest = Vec::new();
         r.read_to_end(&mut rest).unwrap();
         assert_eq!(rest, b"TRAILER");
+    }
+
+    /// The element-wise encoder the slab writer replaced (one call per
+    /// integer, no row check), kept as its reference.
+    fn element_wise_bytes(csr: &Csr) -> Vec<u8> {
+        let mut out = BIN_MAGIC.to_vec();
+        out.extend_from_slice(&(csr.n() as u64).to_le_bytes());
+        out.extend_from_slice(&(csr.m() as u64).to_le_bytes());
+        for &o in csr.offsets() {
+            out.extend_from_slice(&o.to_le_bytes());
+        }
+        for &t in csr.targets() {
+            out.extend_from_slice(&t.to_le_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn slab_encoding_matches_the_element_wise_reference() {
+        // Empty, one partial slab, and offsets and targets that each span
+        // several slabs with a partial last one.
+        for g in
+            [DiGraph::from_edges(0, &[]), gnm_digraph(50, 200, 1), gnm_digraph(20_011, 70_001, 2)]
+        {
+            let want = element_wise_bytes(g.out_csr());
+            let mut got = Vec::new();
+            write_binary_to(&g, &mut got).unwrap();
+            assert!(got == want, "n={} m={}: bytes differ", g.n(), g.m());
+            assert_eq!(Checksum64::of(&got), Checksum64::of(&want));
+            let back = read_binary_from(&mut &got[..], got.len() as u64).unwrap();
+            assert_eq!(back.out_csr(), g.out_csr());
+            assert_eq!(back.in_csr(), g.in_csr());
+        }
+    }
+
+    #[test]
+    fn binary_rejects_rows_that_are_not_strictly_increasing() {
+        let read = |csr: Csr| {
+            let bytes = element_wise_bytes(&csr);
+            read_binary_bytes(&bytes, "rows").map(|_| ()).unwrap_err()
+        };
+        // Rows [3, 1] and [2, 2]: the unsorted one is found first.
+        let err = read(Csr::from_parts(vec![0, 2, 4, 4, 4], vec![3, 1, 2, 2]));
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("vertex 0"), "{err}");
+        let err = read(Csr::from_parts(vec![0, 2, 4, 4, 4], vec![1, 3, 2, 2]));
+        assert!(err.to_string().contains("vertex 1 is not strictly increasing"), "{err}");
+        // A duplicate straddling the first targets slab boundary.
+        let mut row: Vec<V> = (0..20_000).collect();
+        row[SLAB_BYTES / 4] = row[SLAB_BYTES / 4 - 1];
+        let mut offsets = vec![20_000u64; 20_001];
+        offsets[0] = 0;
+        let err = read(Csr::from_parts(offsets, row));
+        assert!(err.to_string().contains(&format!("position {}", SLAB_BYTES / 4)), "{err}");
+    }
+
+    #[test]
+    fn binary_writer_refuses_rows_the_reader_would_reject() {
+        let g = DiGraph::from_out_csr(Csr::from_parts(vec![0, 2, 4, 4, 4], vec![3, 1, 2, 2]));
+        let mut bytes = Vec::new();
+        let err = write_binary_to(&g, &mut bytes).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("vertex 0"), "{err}");
+        assert!(bytes.is_empty(), "a refused graph writes nothing");
     }
 
     #[test]

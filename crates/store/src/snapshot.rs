@@ -13,7 +13,11 @@
 //! crc: u64            Checksum64 over every preceding byte
 //! ```
 //!
-//! All integers are little-endian. A snapshot is written to a temporary
+//! All integers are little-endian. The embedded graph follows every rule
+//! of the binary CSR format (`pscc_graph::io`), including that each
+//! adjacency row is strictly increasing: a snapshot whose checksum holds
+//! but whose rows do not is rejected, and a graph breaking the rule is
+//! refused at write time. A snapshot is written to a temporary
 //! file, fsynced, and renamed into place (`snapshot-<seq>.pscc`), with a
 //! best-effort directory fsync after the rename — a crash mid-write
 //! leaves either the old snapshot or the new one, never a half-written
@@ -253,6 +257,60 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let err = read_snapshot(&path).unwrap_err();
         assert!(err.to_string().contains("trailing"), "{err}");
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// The slab writer's snapshot of a graph whose offsets and targets each
+    /// span several slabs is, byte for byte and checksum included, the
+    /// element-wise encoding of its header and graph.
+    #[test]
+    fn snapshot_bytes_equal_the_element_wise_encoding() {
+        let dir = tmpdir("bytes");
+        let g = pscc_graph::generators::random::gnm_digraph(20_011, 70_001, 3);
+        let meta = StoreMeta { generation: 5, memo_bits: 14, grain: 128 };
+        let (path, bytes) = write_snapshot(&dir, 9, &g, &meta).unwrap();
+        let csr = g.out_csr();
+        let mut want = SNAP_MAGIC.to_vec();
+        want.extend(SNAP_VERSION.to_le_bytes());
+        want.extend(9u64.to_le_bytes());
+        want.extend(meta.generation.to_le_bytes());
+        want.extend(meta.memo_bits.to_le_bytes());
+        want.extend(meta.grain.to_le_bytes());
+        want.extend(b"PSCCCSR1");
+        want.extend((csr.n() as u64).to_le_bytes());
+        want.extend((csr.m() as u64).to_le_bytes());
+        csr.offsets().iter().for_each(|o| want.extend(o.to_le_bytes()));
+        csr.targets().iter().for_each(|t| want.extend(t.to_le_bytes()));
+        want.extend(Checksum64::of(&want).to_le_bytes());
+        let got = std::fs::read(&path).unwrap();
+        assert!(got == want, "snapshot bytes differ from the element-wise encoding");
+        assert_eq!(bytes, want.len() as u64);
+        let (back, _, seq) = read_snapshot(&path).unwrap();
+        assert_eq!((back.out_csr(), back.in_csr(), seq), (g.out_csr(), g.in_csr(), 9));
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn a_checksum_valid_snapshot_with_unsorted_rows_is_rejected() {
+        let dir = tmpdir("rows");
+        // Rows [1, 3] and [2, 3]; rewritten below to [3, 1] and [2, 2].
+        let g = DiGraph::from_edges(4, &[(0, 1), (0, 3), (1, 2), (1, 3)]);
+        drop(crate::Store::create(&dir, &g, StoreMeta::default()).unwrap());
+        let path = dir.join(snapshot_file_name(0));
+        let mut bytes = std::fs::read(&path).unwrap();
+        // The targets are the 16 bytes before the trailing checksum.
+        let end = bytes.len() - 8;
+        for (slot, t) in bytes[end - 16..end].chunks_exact_mut(4).zip([3u32, 1, 2, 2]) {
+            slot.copy_from_slice(&t.to_le_bytes());
+        }
+        let crc = Checksum64::of(&bytes[..end]);
+        bytes[end..].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let err = read_snapshot(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("vertex 0 is not strictly increasing"), "{err}");
+        let err = crate::Store::open(&dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         std::fs::remove_dir_all(dir).ok();
     }
 

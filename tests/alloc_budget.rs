@@ -23,6 +23,11 @@
 //! bytes, and nothing in there is one allocation the size of a hash table
 //! over the DAG's arcs.
 //!
+//! A fourth holds **`Csr::transpose`**, which builds every in-CSR, to its
+//! output plus one `B × n` counter matrix, all of it allocated by the
+//! calling thread: counters allocated inside worker tasks stay in those
+//! threads' malloc arenas and raise the served RSS.
+//!
 //! Release-only: CI runs this file in its `cargo test --release` step.
 
 use parallel_scc::graph::generators::lattice::lattice_sqr;
@@ -31,6 +36,7 @@ use parallel_scc::prelude::*;
 use parallel_scc::runtime::{hash64, random_permutation};
 use parallel_scc::scc::parallel_scc_with_stats;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -38,8 +44,15 @@ static BYTES: AtomicU64 = AtomicU64::new(0);
 /// Allocations of at least `WIDE_BYTES` bytes, a size each test picks.
 static WIDE: AtomicU64 = AtomicU64::new(0);
 static WIDE_BYTES: AtomicUsize = AtomicUsize::new(usize::MAX);
+/// Of those, the ones made off the thread that runs the measured closure.
+static WIDE_ELSEWHERE: AtomicU64 = AtomicU64::new(0);
 /// The counters are process-wide: one measuring test at a time.
 static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+thread_local! {
+    /// Set on the thread running [`allocated_by`]'s closure.
+    static MEASURED: Cell<bool> = const { Cell::new(false) };
+}
 
 struct Counting;
 
@@ -47,6 +60,9 @@ fn count(size: usize) {
     BYTES.fetch_add(size as u64, Ordering::Relaxed);
     if size >= WIDE_BYTES.load(Ordering::Relaxed) {
         WIDE.fetch_add(1, Ordering::Relaxed);
+        if !MEASURED.try_with(Cell::get).unwrap_or(false) {
+            WIDE_ELSEWHERE.fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 
@@ -89,12 +105,18 @@ const BUDGET: u64 = 9;
 /// measured (84 while the permutation was sorted over every vertex), 669
 /// when a multi-reach batch peeled the giant SCC.
 const SOCIAL_BUDGET: u64 = 96;
+/// Bytes `Csr::transpose` may allocate beyond its output and its counter
+/// matrix at width 2: 1.3 KiB measured, nearly all of it the spawn of one
+/// worker thread for each of its five parallel regions.
+const TRANSPOSE_SMALL_CHANGE: u64 = 2 << 10;
 
 /// (bytes allocated, allocations of at least `WIDE_BYTES`) at width 2
 /// while `f` runs, and what it returned.
 fn allocated_by<T: Send>(f: impl FnOnce() -> T + Send) -> (u64, u64, T) {
     let (bytes, wide) = (BYTES.load(Ordering::Relaxed), WIDE.load(Ordering::Relaxed));
+    MEASURED.with(|m| m.set(true));
     let out = with_threads(2, f);
+    MEASURED.with(|m| m.set(false));
     (BYTES.load(Ordering::Relaxed) - bytes, WIDE.load(Ordering::Relaxed) - wide, out)
 }
 
@@ -184,6 +206,29 @@ fn a_giant_scc_is_peeled_without_a_pair_table() {
         "{bytes} B allocated: more than {SOCIAL_BUDGET} × n = {} B — a giant-SCC pair table?",
         SOCIAL_BUDGET * n
     );
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "sized for release builds; CI runs it with --release")]
+fn transpose_allocates_its_output_and_one_counter_matrix() {
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    WIDE_BYTES.store(1 << 10, Ordering::Relaxed);
+    for (name, g) in
+        [("lattice 300x300", lattice_sqr(300, 300, 1)), ("social rmat-16", social_graph(16, 1))]
+    {
+        let (n, m) = (g.n() as u64, g.m() as u64);
+        let elsewhere = WIDE_ELSEWHERE.load(Ordering::Relaxed);
+        let (bytes, wide, t) = allocated_by(|| g.out_csr().transpose());
+        let elsewhere = WIDE_ELSEWHERE.load(Ordering::Relaxed) - elsewhere;
+        assert!(&t == g.in_csr(), "{name}: the transpose changed");
+        // Output, the 2 × n matrix of width 2, and the small change of five
+        // parallel regions (thread spawns, the scan's block sums).
+        let budget = (n + 1) * 8 + m * 4 + 2 * n * 4 + TRANSPOSE_SMALL_CHANGE;
+        eprintln!("{name}: n={n} m={m}: {bytes} B of {budget}, {wide} ≥ 1 KiB, {elsewhere} off the caller");
+        assert!(bytes <= budget, "{name}: {bytes} B allocated, budget {budget} B");
+        assert!(wide <= 6, "{name}: {wide} allocations of at least 1 KiB");
+        assert_eq!(elsewhere, 0, "{name}: a worker allocated counters of its own");
+    }
 }
 
 #[test]

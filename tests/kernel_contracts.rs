@@ -18,15 +18,19 @@
 //! signatures are an XOR, so 1, 2 and 8 workers produce the very same
 //! label vector — and at the default configuration that vector is pinned
 //! by checksum, so a change that claims to leave the default path alone
-//! can be held to it.
+//! can be held to it. **The in-CSR does not depend on the width either:**
+//! `Csr::transpose` is a stable counting sort over blocks of source rows,
+//! so 1, 2 and 8 workers (1, 2 and 8 blocks) produce the very same bytes,
+//! and those are the sorted reversal of the out-CSR.
 //!
 //! Release-only: CI runs this file in its `cargo test --release` step.
 
 use parallel_scc::graph::generators::lattice::lattice_sqr;
 use parallel_scc::graph::generators::rmat::rmat_digraph;
 use parallel_scc::graph::io::Checksum64;
-use parallel_scc::graph::SubgraphView;
+use parallel_scc::graph::{build_csr, SubgraphView};
 use parallel_scc::prelude::*;
+use parallel_scc::runtime::hash64;
 use parallel_scc::scc::verify::{component_stats, same_partition};
 use parallel_scc::scc::{parallel_scc_induced, FINAL_TAG};
 
@@ -116,6 +120,36 @@ fn labels_are_the_same_at_every_width() {
         for width in [2, 8] {
             let wide = with_threads(width, || parallel_scc(&g, &cfg)).labels;
             assert!(wide == narrow, "{name}: labels at width {width} differ from width 1");
+        }
+    }
+}
+
+/// RMAT-`scale` with `8·n` edges plus a hashed half of them reversed: the
+/// shape `benchmark/src/inputs.rs` builds for `scc-social`.
+fn social_graph(scale: u32, seed: u64) -> DiGraph {
+    let base = rmat_digraph(scale, 8usize << scale, seed);
+    let salt = hash64(seed ^ 0x1111);
+    let mut edges: Vec<(V, V)> = base.out_csr().edges().collect();
+    for i in 0..edges.len() {
+        let (u, v) = edges[i];
+        if hash64(((u as u64) << 32 | v as u64) ^ salt) < u64::MAX / 2 {
+            edges.push((v, u));
+        }
+    }
+    DiGraph::from_edges(base.n(), &edges)
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "sized for release builds; CI runs it with --release")]
+fn the_in_csr_is_the_same_at_every_width() {
+    for (name, g) in
+        [("social rmat-16", social_graph(16, 1)), ("lattice 300x300", lattice_sqr(300, 300, 1))]
+    {
+        let reversed: Vec<(V, V)> = g.out_csr().edges().map(|(u, v)| (v, u)).collect();
+        assert!(g.in_csr() == &build_csr(g.n(), &reversed), "{name}: not the sorted reversal");
+        for width in [1, 2, 8] {
+            let t = with_threads(width, || g.out_csr().transpose());
+            assert!(&t == g.in_csr(), "{name}: the transpose at width {width} differs");
         }
     }
 }

@@ -5,6 +5,7 @@
 
 use proptest::prelude::*;
 
+use parallel_scc::graph::build_csr;
 use parallel_scc::graph::generators::random::gnm_digraph;
 use parallel_scc::graph::io::{read_binary, read_edge_list, write_binary, write_edge_list};
 use parallel_scc::prelude::*;
@@ -141,13 +142,20 @@ fn accepted_mutants_are_structurally_valid() {
             if let Ok(g) = read_binary(&path) {
                 // Offsets/targets invariants: n()/m() consistent, all
                 // adjacency slices in bounds (neighbors would panic
-                // otherwise), transpose agrees on edge count.
+                // otherwise), every row strictly increasing, and the
+                // in-CSR is the reversal of the edges sorted sequentially.
                 for v in 0..g.n() as V {
-                    for &w in g.out_neighbors(v) {
-                        assert!((w as usize) < g.n());
-                    }
+                    let row = g.out_neighbors(v);
+                    assert!(row.iter().all(|&w| (w as usize) < g.n()));
+                    assert!(
+                        row.windows(2).all(|w| w[0] < w[1]),
+                        "byte {i} = {val}: row {v} {row:?}"
+                    );
                 }
-                assert_eq!(g.out_csr().m(), g.in_csr().m());
+                let mut reversed: Vec<(V, V)> = g.out_csr().edges().map(|(u, v)| (v, u)).collect();
+                reversed.sort_unstable();
+                let reference = with_threads(1, || build_csr(g.n(), &reversed));
+                assert!(g.in_csr() == &reference, "byte {i} = {val}: in-CSR differs");
             }
             std::fs::remove_file(path).ok();
         }

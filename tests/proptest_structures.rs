@@ -1,15 +1,35 @@
 //! Property-based tests on the core data structures: the parallel hash
-//! bag, the phase-concurrent pair table, concurrent union-find, and the
-//! run-copy CSR merge behind `DiGraph::with_delta`.
+//! bag, the phase-concurrent pair table, concurrent union-find, the
+//! run-copy CSR merge behind `DiGraph::with_delta`, and the blocked
+//! counting sort behind `Csr::transpose`.
 
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashSet};
 
 use parallel_scc::bag::{BagConfig, HashBag};
 use parallel_scc::cc::ConcurrentUnionFind;
-use parallel_scc::graph::{DiGraph, SPLICE_CHUNK};
-use parallel_scc::runtime::par_for;
+use parallel_scc::graph::{Csr, DiGraph, SPLICE_CHUNK, V};
+use parallel_scc::runtime::{par_for, with_threads};
 use parallel_scc::table::{Insert, PairTable};
+
+/// The in-CSR by a sequential counting sort: count, prefix-sum, then
+/// place every edge in source order.
+fn reference_transpose(g: &Csr) -> Csr {
+    let n = g.n();
+    let mut offsets = vec![0u64; n + 1];
+    for &v in g.targets() {
+        offsets[v as usize + 1] += 1;
+    }
+    for v in 0..n {
+        offsets[v + 1] += offsets[v];
+    }
+    let (mut next, mut targets) = (offsets.clone(), vec![0; g.m()]);
+    for (u, v) in g.edges() {
+        targets[next[v as usize] as usize] = u;
+        next[v as usize] += 1;
+    }
+    Csr::from_parts(offsets, targets)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
@@ -143,5 +163,43 @@ proptest! {
         let want = DiGraph::from_edges(n, &want.into_iter().collect::<Vec<_>>());
         prop_assert_eq!(got.out_csr(), want.out_csr());
         prop_assert_eq!(got.in_csr(), want.in_csr());
+    }
+
+    /// `Csr::transpose` equals the sequential counting sort, byte for byte,
+    /// at widths 1, 2 and 8, on rows that are unsorted, hold duplicates,
+    /// self-loops or nothing, or on one hub row holding every edge (so
+    /// some blocks are empty), down to n = 0 and m = 0.
+    #[test]
+    fn transpose_equals_a_sequential_counting_sort_at_every_width(
+        size in 0usize..6,
+        shape in 0usize..4,
+        lens in proptest::collection::vec(0usize..24, 0..1500),
+        raw in proptest::collection::vec(0u32..u32::MAX, 0..4000),
+    ) {
+        let n = [0, 1, 2, 37, 300, 1500][size];
+        // shape 0: no edges; 1: every edge in one hub row; else rows of
+        // `lens` lengths. Every fifth edge is a self-loop.
+        let hub = raw.first().map_or(0, |&x| x as usize % n.max(1));
+        let (mut offsets, mut targets) = (vec![0u64], Vec::<V>::new());
+        for v in 0..n {
+            let len = match shape {
+                0 => 0,
+                1 if v == hub => raw.len(),
+                1 => 0,
+                _ => lens.get(v).copied().unwrap_or(0),
+            };
+            for _ in 0..len {
+                let i = targets.len();
+                let x = raw.get(i % raw.len().max(1)).copied().unwrap_or(0);
+                targets.push(if i % 5 == 4 { v as V } else { x % n as u32 });
+            }
+            offsets.push(targets.len() as u64);
+        }
+        let g = Csr::from_parts(offsets, targets);
+        let want = reference_transpose(&g);
+        for width in [1, 2, 8] {
+            let got = with_threads(width, || g.transpose());
+            prop_assert!(got == want, "n={} m={} width {}", g.n(), g.m(), width);
+        }
     }
 }
