@@ -140,7 +140,7 @@ mod tests {
             ("src/lib.rs", FileClass::Library),
             ("tests/engine_repair_planner.rs", FileClass::Harness),
             ("tests/common/scenarios.rs", FileClass::Harness),
-            ("examples/reachability_server.rs", FileClass::Harness),
+            ("examples/quickstart.rs", FileClass::Harness),
             ("crates/bench/benches/tab2_scc.rs", FileClass::Harness),
             ("crates/analyze/src/main.rs", FileClass::Harness),
         ] {

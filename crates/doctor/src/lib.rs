@@ -594,7 +594,7 @@ mod tests {
         for (slot, t) in bytes[end - 16..end].chunks_exact_mut(4).zip([3u32, 1, 2, 2]) {
             slot.copy_from_slice(&t.to_le_bytes());
         }
-        let crc = pscc_graph::io::Checksum64::of(&bytes[..end]);
+        let crc = pscc_telemetry::frame::Checksum64::of(&bytes[..end]);
         bytes[end..].copy_from_slice(&crc.to_le_bytes());
         std::fs::write(&snap, &bytes).unwrap();
         let diag = diagnose(&dir, 20).unwrap();

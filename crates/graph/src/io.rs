@@ -146,59 +146,6 @@ pub fn read_edge_list<P: AsRef<Path>>(path: P) -> io::Result<DiGraph> {
 
 const BIN_MAGIC: &[u8; 8] = b"PSCCCSR1";
 
-/// Streaming 64-bit FNV-1a checksum, used to frame binary graph payloads
-/// (snapshots, write-ahead log records) so torn or corrupted writes are
-/// detected on read. Not cryptographic: it guards against crashes and bit
-/// rot, not adversaries.
-///
-/// ```
-/// use pscc_graph::io::Checksum64;
-///
-/// let mut c = Checksum64::new();
-/// c.update(b"hello ");
-/// c.update(b"world");
-/// let mut whole = Checksum64::new();
-/// whole.update(b"hello world");
-/// assert_eq!(c.finish(), whole.finish());
-/// ```
-#[derive(Clone, Debug)]
-pub struct Checksum64(u64);
-
-impl Default for Checksum64 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Checksum64 {
-    /// A fresh checksum (FNV-1a offset basis).
-    pub fn new() -> Self {
-        Checksum64(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Folds `bytes` into the running checksum.
-    pub fn update(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self.0 = h;
-    }
-
-    /// The checksum of everything folded in so far.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-
-    /// One-shot checksum of a byte slice.
-    pub fn of(bytes: &[u8]) -> u64 {
-        let mut c = Checksum64::new();
-        c.update(bytes);
-        c.finish()
-    }
-}
-
 /// Bytes per slab of the binary format's offsets and targets: a multiple
 /// of both element widths, so no element straddles two slabs.
 const SLAB_BYTES: usize = 1 << 16;
@@ -631,7 +578,6 @@ mod tests {
             let mut got = Vec::new();
             write_binary_to(&g, &mut got).unwrap();
             assert!(got == want, "n={} m={}: bytes differ", g.n(), g.m());
-            assert_eq!(Checksum64::of(&got), Checksum64::of(&want));
             let back = read_binary_from(&mut &got[..], got.len() as u64).unwrap();
             assert_eq!(back.out_csr(), g.out_csr());
             assert_eq!(back.in_csr(), g.in_csr());
@@ -667,17 +613,6 @@ mod tests {
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
         assert!(err.to_string().contains("vertex 0"), "{err}");
         assert!(bytes.is_empty(), "a refused graph writes nothing");
-    }
-
-    #[test]
-    fn checksum_is_streaming_and_order_sensitive() {
-        assert_eq!(Checksum64::of(b"abc"), Checksum64::of(b"abc"));
-        assert_ne!(Checksum64::of(b"abc"), Checksum64::of(b"acb"));
-        assert_ne!(Checksum64::of(b""), 0);
-        let mut c = Checksum64::new();
-        c.update(b"ab");
-        c.update(b"c");
-        assert_eq!(c.finish(), Checksum64::of(b"abc"));
     }
 
     #[test]

@@ -14,7 +14,6 @@ pub mod generators;
 pub mod io;
 pub mod stats;
 pub mod view;
-pub mod wcsr;
 
 pub use builder::{
     build_csr, contract_csr, csr_from_weighted_arcs, dedup_edges, merge_csr, merge_rows,
@@ -22,7 +21,6 @@ pub use builder::{
 };
 pub use csr::{Csr, DiGraph, UnGraph};
 pub use view::SubgraphView;
-pub use wcsr::WCsr;
 
 /// Vertex identifier. Graphs are capped at `u32::MAX - 1` vertices;
 /// `u32::MAX` serves as an EMPTY sentinel in the concurrent structures.

@@ -1,17 +1,15 @@
-//! Tiny shared command-line flag parser for the workspace's front-end
-//! binaries (`pscc-server` and the `reachability_server` example), so
-//! their hand-rolled `--flag VALUE` handling cannot drift: every
-//! flag-missing-value error renders identically, flags may appear
-//! anywhere relative to positionals, and whatever is left after the
-//! known flags are consumed is returned as the positional arguments.
+//! Tiny `--flag VALUE` parser for the `pscc-server` binary: every
+//! missing or unparsable value renders one uniform error, flags may
+//! appear anywhere relative to positionals, and whatever is left after
+//! the known flags are consumed is returned as the positional arguments
+//! (which the binary refuses).
 //!
 //! ```
 //! use pscc_server::args::Args;
 //! let mut args = Args::from_vec(vec![
-//!     "--data-dir".into(), "/tmp/d".into(), "graph.txt".into(), "--metrics".into(),
+//!     "--data-dir".into(), "/tmp/d".into(), "graph.txt".into(),
 //! ]);
 //! assert_eq!(args.path("--data-dir").unwrap(), Some("/tmp/d".into()));
-//! assert!(args.flag("--metrics"));
 //! assert_eq!(args.finish(), vec!["graph.txt".to_string()]);
 //! ```
 
@@ -59,14 +57,6 @@ impl Args {
     /// An explicit argument vector (tests, or pre-filtered argv).
     pub fn from_vec(argv: Vec<String>) -> Args {
         Args { argv }
-    }
-
-    /// Consume a boolean `--flag`: true if present (all occurrences are
-    /// removed), false otherwise.
-    pub fn flag(&mut self, name: &str) -> bool {
-        let before = self.argv.len();
-        self.argv.retain(|a| a != name);
-        self.argv.len() != before
     }
 
     /// Consume `--flag VALUE`, returning the raw value string. `None`
@@ -121,14 +111,12 @@ mod tests {
     #[test]
     fn flags_values_and_positionals() {
         let mut a = Args::from_vec(
-            ["g.txt", "--data-dir", "/d", "--metrics", "u.txt", "--n", "42"]
+            ["g.txt", "--data-dir", "/d", "u.txt", "--n", "42"]
                 .iter()
                 .map(|s| s.to_string())
                 .collect(),
         );
         assert_eq!(a.path("--data-dir").unwrap(), Some(PathBuf::from("/d")));
-        assert!(a.flag("--metrics"));
-        assert!(!a.flag("--metrics"));
         assert_eq!(a.parsed::<usize>("--n", "a count").unwrap(), Some(42));
         assert_eq!(a.value("--absent").unwrap(), None);
         assert_eq!(a.finish(), vec!["g.txt".to_string(), "u.txt".to_string()]);

@@ -6,12 +6,15 @@
 //!             [--queue-cap N] [--flight-dir DIR]
 //! ```
 //!
-//! Graph source, first match wins: `--data-dir` recovers a persisted
-//! catalog (serving every graph it holds); `--graph` loads a
-//! whitespace `u v` edge list registered under `--name`; otherwise an
-//! RMAT graph is generated (defaults: scale 15, 200 000 edges). The
-//! process serves until killed; state changes arrive via
-//! `POST /delta/<graph>` and are WAL-logged when the catalog is durable.
+//! `--data-dir` makes the catalog durable: it recovers every graph the
+//! directory holds (creating the directory if need be), and when none is
+//! named `--name` it persists the graph loaded below into it, so a
+//! restart on the same directory recovers it. The graph under `--name`
+//! comes from `--graph`, a whitespace `u v` edge list, or else is a
+//! generated RMAT graph (defaults: scale 15, 200 000 edges). The process
+//! serves until killed; state changes arrive via `POST /delta/<graph>`
+//! and are WAL-logged (fsynced before the reply) when the catalog is
+//! durable.
 
 use pscc_engine::Catalog;
 use pscc_server::args::Args;
@@ -49,27 +52,34 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         println!("flight recorder on: journaling to {}", dir.display());
     }
 
-    let catalog = match (&data_dir, &graph_file) {
-        (Some(dir), _) => {
+    let catalog = match &data_dir {
+        Some(dir) => {
+            std::fs::create_dir_all(dir)?;
             let catalog = Catalog::open(dir)?;
             println!("recovered catalog {:?} from {}", catalog.names(), dir.display());
             catalog
         }
-        (None, Some(path)) => {
-            let g = pscc_graph::io::read_edge_list(path)?;
-            println!("loaded {path}: n={} m={} as {name:?}", g.n(), g.m());
-            let catalog = Catalog::new();
-            catalog.insert(&name, g);
-            catalog
-        }
-        (None, None) => {
-            let g = pscc_graph::generators::rmat::rmat_digraph(rmat_scale, rmat_edges, 0xa11ce);
-            println!("generated RMAT: n={} m={} as {name:?}", g.n(), g.m());
-            let catalog = Catalog::new();
-            catalog.insert(&name, g);
-            catalog
-        }
+        None => Catalog::new(),
     };
+    if catalog.graph(&name).is_none() {
+        let g = match &graph_file {
+            Some(path) => {
+                let g = pscc_graph::io::read_edge_list(path)?;
+                println!("loaded {path}: n={} m={} as {name:?}", g.n(), g.m());
+                g
+            }
+            None => {
+                let g = pscc_graph::generators::rmat::rmat_digraph(rmat_scale, rmat_edges, 0xa11ce);
+                println!("generated RMAT: n={} m={} as {name:?}", g.n(), g.m());
+                g
+            }
+        };
+        catalog.insert(&name, g);
+        if let Some(dir) = &data_dir {
+            catalog.persist_to(&name, dir)?;
+            println!("persisted {name:?} to {}", dir.display());
+        }
+    }
 
     let mut coalesce = CoalesceConfig::default();
     if let Some(cap) = queue_cap {

@@ -8,14 +8,13 @@
 //! read-only, ignores the lock, and reports damage instead of repairing
 //! it.
 
-use std::fs::File;
 use std::io;
 use std::path::{Path, PathBuf};
 
 use pscc_graph::DiGraph;
 
 use crate::snapshot::{parse_snapshot_name, read_snapshot};
-use crate::wal::{Wal, WAL_MAGIC};
+use crate::wal;
 use crate::{DeltaRecord, StoreMeta};
 
 /// File name of the write-ahead log inside a store directory.
@@ -104,40 +103,21 @@ pub struct WalInspect {
 /// is left byte-identical. Contrast [`crate::Store::open`], which
 /// truncates the torn tail it finds.
 pub fn scan_wal(path: &Path) -> io::Result<WalInspect> {
-    let mut file = File::open(path)?;
-    let file_len = file.metadata()?.len();
-    let mut out = WalInspect::default();
-    if file_len < WAL_MAGIC.len() as u64 {
-        out.corruption = Some("wal shorter than its magic header".to_string());
-        out.torn_bytes = file_len;
-        return Ok(out);
-    }
-    {
-        use std::io::Read;
-        let mut magic = [0u8; 8];
-        file.read_exact(&mut magic)?;
-        if &magic != WAL_MAGIC {
-            out.corruption = Some("bad wal magic".to_string());
-            out.torn_bytes = file_len - magic.len() as u64;
-            return Ok(out);
-        }
-    }
-    let mut valid_len = WAL_MAGIC.len() as u64;
-    let mut expect_seq: Option<u64> = None;
-    while let Some((seq, rec, end)) = Wal::read_record(&mut file, valid_len, file_len) {
-        if let Some(want) = expect_seq {
-            if seq != want {
-                out.corruption =
-                    Some(format!("wal sequence break: record {seq} follows {}", want - 1));
-                break;
-            }
-        }
-        out.records.push((seq, rec));
-        expect_seq = Some(seq + 1);
-        valid_len = end;
-    }
-    out.torn_bytes = file_len - valid_len;
-    Ok(out)
+    let bytes = std::fs::read(path)?;
+    let Some(scan) = wal::scan_bytes(&bytes) else {
+        return Ok(WalInspect {
+            records: Vec::new(),
+            torn_bytes: bytes.len() as u64,
+            corruption: Some("bad or missing wal magic".to_string()),
+        });
+    };
+    Ok(WalInspect {
+        corruption: scan
+            .seq_break
+            .map(|(last, next)| format!("wal sequence break: record {next} follows {last}")),
+        torn_bytes: (bytes.len() - scan.valid_len) as u64,
+        records: scan.records,
+    })
 }
 
 /// Loads the newest snapshot that validates, exactly as recovery would
@@ -226,6 +206,25 @@ mod tests {
             before,
             "inspection must leave the file byte-identical"
         );
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn sequence_break_is_a_finding_here_and_an_error_on_open() {
+        let dir = tmpdir("break");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(WAL_FILE_NAME);
+        let mut bytes = b"PSCCWAL1".to_vec();
+        for seq in [1, 3] {
+            pscc_telemetry::frame::encode(&mut bytes, seq, &[0; 8]);
+        }
+        std::fs::write(&path, &bytes).unwrap();
+        let scan = scan_wal(&path).unwrap();
+        assert_eq!(scan.records, vec![(1, rec(&[], &[]))]);
+        assert!(scan.corruption.unwrap().contains("sequence break: record 3 follows 1"));
+        let err = crate::wal::Wal::open(&path, 0).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "a break is never truncated");
         std::fs::remove_dir_all(dir).ok();
     }
 

@@ -28,8 +28,9 @@ use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
-use pscc_graph::io::{binary_len, read_binary_from, write_binary_to, Checksum64};
+use pscc_graph::io::{binary_len, read_binary_from, write_binary_to};
 use pscc_graph::DiGraph;
+use pscc_telemetry::frame::Checksum64;
 
 use crate::StoreMeta;
 

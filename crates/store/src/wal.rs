@@ -2,31 +2,25 @@
 //!
 //! ## File format
 //!
-//! ```text
-//! "PSCCWAL1"                                    8-byte magic header
-//! record*                                       zero or more records
-//! ```
-//!
-//! Each record frames one applied delta batch:
+//! `"PSCCWAL1"` followed by one frame per applied delta batch, in the
+//! framed-log layout [`pscc_telemetry::frame`] defines. Sequence numbers
+//! start at 1 and are contiguous per log. The payload, little-endian, is
 //!
 //! ```text
-//! len: u32        payload length in bytes
-//! seq: u64        1-based sequence number, contiguous per log
-//! payload         ins_count: u32, del_count: u32, then (u, v) u32 pairs
-//! crc: u64        Checksum64 over len ∥ seq ∥ payload
+//! ins_count: u32, del_count: u32, then (u, v) u32 pairs
 //! ```
 //!
-//! All integers are little-endian. Appends are flushed with `fsync`
+//! with the insertions first. Appends are flushed with `fsync`
 //! (`File::sync_data`) before returning, so a record the writer reported
 //! durable survives a crash.
 //!
 //! ## Recovery
 //!
 //! [`Wal::open`] scans records from the start and stops at the first
-//! violation — short frame, implausible length, checksum mismatch, or a
-//! sequence break — and reports the byte offset of the last valid record
-//! end. A crash mid-append therefore loses only the torn tail; the store
-//! truncates the file there and resumes appending.
+//! frame that fails to decode — short, length past the end of the file,
+//! checksum mismatch, or a payload whose counts disagree with its length
+//! — and truncates the file there. A crash mid-append therefore loses
+//! only the torn tail. A sequence break is an error instead.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -34,8 +28,8 @@ use std::path::Path;
 #[cfg(test)]
 use std::path::PathBuf;
 
-use pscc_graph::io::Checksum64;
 use pscc_graph::V;
+use pscc_telemetry::frame;
 
 use crate::DeltaRecord;
 
@@ -63,8 +57,6 @@ fn appends_counter() -> &'static std::sync::Arc<pscc_telemetry::Counter> {
 }
 
 pub(crate) const WAL_MAGIC: &[u8; 8] = b"PSCCWAL1";
-/// Bytes of framing around a record payload: len (4) + seq (8) + crc (8).
-const FRAME_BYTES: u64 = 20;
 
 fn invalid<T>(msg: impl Into<String>) -> io::Result<T> {
     Err(io::Error::new(io::ErrorKind::InvalidData, msg.into()))
@@ -82,21 +74,13 @@ fn encode_payload(rec: &DeltaRecord) -> Vec<u8> {
     out
 }
 
-/// Parses a record payload back into a delta batch.
-fn decode_payload(payload: &[u8]) -> io::Result<DeltaRecord> {
-    if payload.len() < 8 {
-        return invalid("wal payload shorter than its counts");
-    }
-    // analyze: allow(panic): fixed-width slice, try_into is infallible
-    let ins_count = u32::from_le_bytes(payload[0..4].try_into().expect("4 bytes")) as usize;
-    // analyze: allow(panic): fixed-width slice, try_into is infallible
-    let del_count = u32::from_le_bytes(payload[4..8].try_into().expect("4 bytes")) as usize;
-    let want = 8 + 8 * (ins_count + del_count);
-    if payload.len() != want {
-        return invalid(format!(
-            "wal payload holds {} bytes but its counts imply {want}",
-            payload.len()
-        ));
+/// Parses a record payload back into a delta batch; `None` when its
+/// length disagrees with its counts.
+fn decode_payload(payload: &[u8]) -> Option<DeltaRecord> {
+    let ins_count = u32::from_le_bytes(payload.get(0..4)?.try_into().ok()?) as usize;
+    let del_count = u32::from_le_bytes(payload.get(4..8)?.try_into().ok()?) as usize;
+    if payload.len() as u64 != 8 + 8 * (ins_count as u64 + del_count as u64) {
+        return None;
     }
     let mut edges = payload[8..].chunks_exact(8).map(|c| {
         (
@@ -108,7 +92,14 @@ fn decode_payload(payload: &[u8]) -> io::Result<DeltaRecord> {
     });
     let insertions: Vec<(V, V)> = edges.by_ref().take(ins_count).collect();
     let deletions: Vec<(V, V)> = edges.collect();
-    Ok(DeltaRecord { insertions, deletions })
+    Some(DeltaRecord { insertions, deletions })
+}
+
+/// Scans a whole log held in `bytes` — `None` on a bad or missing magic.
+/// Recovery and the read-only [`inspect`](crate::inspect) scan both read
+/// through here, so they agree byte for byte on what a valid record is.
+pub(crate) fn scan_bytes(bytes: &[u8]) -> Option<frame::Scan<DeltaRecord>> {
+    frame::scan(bytes, WAL_MAGIC, decode_payload)
 }
 
 /// What scanning an existing log recovered.
@@ -156,90 +147,38 @@ impl Wal {
     /// header is likewise an error.
     pub fn open(path: &Path, base_seq: u64) -> io::Result<(Wal, WalScan)> {
         let mut file = OpenOptions::new().read(true).write(true).open(path)?;
-        let file_len = file.metadata()?.len();
-        let mut magic = [0u8; 8];
-        if file_len < magic.len() as u64 {
-            return invalid("wal shorter than its magic header");
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)?;
+        let Some(scan) = scan_bytes(&bytes) else {
+            return invalid("bad or missing wal magic");
+        };
+        // A checksum-valid record out of sequence is unreplayable
+        // history, not a torn append: refuse loudly rather than truncate
+        // valid data.
+        if let Some((last, next)) = scan.seq_break {
+            return invalid(format!("wal sequence break: record {next} follows {last}"));
         }
-        file.read_exact(&mut magic)?;
-        if &magic != WAL_MAGIC {
-            return invalid("bad wal magic");
-        }
-
-        let mut records = Vec::new();
-        let mut valid_len = magic.len() as u64;
-        let mut expect_seq: Option<u64> = None; // None until the first record
-        while let Some((seq, rec, end)) = Self::read_record(&mut file, valid_len, file_len) {
-            // Contiguity: each checksum-valid record must follow its
-            // predecessor; a break is unreplayable history, not a torn
-            // append — refuse loudly rather than truncate valid data.
-            if seq != expect_seq.unwrap_or(seq) {
+        let next_seq = scan.records.last().map_or(base_seq + 1, |&(seq, _)| seq + 1);
+        let records: Vec<(u64, DeltaRecord)> =
+            scan.records.into_iter().filter(|&(seq, _)| seq > base_seq).collect();
+        // The first replayable record must continue the snapshot.
+        if let Some(&(first, _)) = records.first() {
+            if first != base_seq + 1 {
                 return invalid(format!(
-                    "wal sequence break: record {seq} follows {}",
-                    // analyze: allow(panic): the != above can only fire when expect_seq is Some
-                    expect_seq.expect("a predecessor exists") - 1
+                    "wal starts at record {first} but the snapshot covers only \
+                     up to {base_seq}: unreplayable gap"
                 ));
             }
-            if seq > base_seq {
-                // The first replayable record must continue the snapshot.
-                if records.is_empty() && seq != base_seq + 1 {
-                    return invalid(format!(
-                        "wal starts at record {seq} but the snapshot covers only \
-                         up to {base_seq}: unreplayable gap"
-                    ));
-                }
-                records.push((seq, rec));
-            }
-            expect_seq = Some(seq + 1);
-            valid_len = end;
         }
-        let torn_bytes = file_len - valid_len;
+        let valid_len = scan.valid_len as u64;
+        let torn_bytes = bytes.len() as u64 - valid_len;
         if torn_bytes > 0 {
             file.set_len(valid_len)?;
             file.sync_data()?;
         }
         file.seek(SeekFrom::Start(valid_len))?;
-        let next_seq = expect_seq.unwrap_or(base_seq + 1);
         let wal = Wal { file, next_seq, bytes: valid_len };
         Ok((wal, WalScan { records, torn_bytes }))
-    }
-
-    /// Reads one record starting at `at`; `None` on any violation (short
-    /// frame, implausible length, checksum mismatch). On success returns
-    /// `(seq, record, end_offset)`. Shared with the read-only
-    /// [`inspect`](crate::inspect) scan, so the doctor and recovery agree
-    /// byte-for-byte on what a valid record is.
-    pub(crate) fn read_record(
-        file: &mut File,
-        at: u64,
-        file_len: u64,
-    ) -> Option<(u64, DeltaRecord, u64)> {
-        if file_len - at < FRAME_BYTES {
-            return None;
-        }
-        file.seek(SeekFrom::Start(at)).ok()?;
-        let mut head = [0u8; 12];
-        file.read_exact(&mut head).ok()?;
-        // analyze: allow(panic): fixed-width slice, try_into is infallible
-        let len = u32::from_le_bytes(head[0..4].try_into().expect("4 bytes")) as u64;
-        // analyze: allow(panic): fixed-width slice, try_into is infallible
-        let seq = u64::from_le_bytes(head[4..12].try_into().expect("8 bytes"));
-        if len > file_len - at - FRAME_BYTES {
-            return None; // length outruns the file: torn or corrupt
-        }
-        let mut payload = vec![0u8; len as usize];
-        file.read_exact(&mut payload).ok()?;
-        let mut trailer = [0u8; 8];
-        file.read_exact(&mut trailer).ok()?;
-        let want_crc = u64::from_le_bytes(trailer);
-        let mut crc = Checksum64::new();
-        crc.update(&head);
-        crc.update(&payload);
-        if crc.finish() != want_crc {
-            return None;
-        }
-        let rec = decode_payload(&payload).ok()?;
-        Some((seq, rec, at + FRAME_BYTES + len))
     }
 
     /// Appends one record and fsyncs it; returns its sequence number.
@@ -264,19 +203,14 @@ impl Wal {
             ));
         }
         let seq = self.next_seq;
-        let payload = encode_payload(rec);
-        let mut frame = Vec::with_capacity(payload.len() + FRAME_BYTES as usize);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&seq.to_le_bytes());
-        frame.extend_from_slice(&payload);
-        let crc = Checksum64::of(&frame);
-        frame.extend_from_slice(&crc.to_le_bytes());
+        let mut framed = Vec::new();
+        frame::encode(&mut framed, seq, &encode_payload(rec));
         // Re-anchor at the last durable record: a previously failed
         // append may have left partial bytes and an advanced cursor.
         let append_timer = pscc_telemetry::enabled().then(pscc_telemetry::Timer::start);
         self.file.set_len(self.bytes)?;
         self.file.seek(SeekFrom::Start(self.bytes))?;
-        self.file.write_all(&frame)?;
+        self.file.write_all(&framed)?;
         let fsync_timer = append_timer.map(|_| pscc_telemetry::Timer::start());
         self.file.sync_data()?;
         if let Some(t) = fsync_timer {
@@ -287,7 +221,7 @@ impl Wal {
             appends_counter().inc();
         }
         self.next_seq = seq + 1;
-        self.bytes += frame.len() as u64;
+        self.bytes += framed.len() as u64;
         Ok(seq)
     }
 
@@ -344,6 +278,43 @@ mod tests {
         assert_eq!(scan.records[1], (2, rec(&[], &[(9, 9)])));
         assert_eq!(scan.records[2], (3, rec(&[(5, 6)], &[(7, 8)])));
         assert_eq!(wal.last_seq(), 3);
+        std::fs::remove_file(path).ok();
+    }
+
+    /// The on-disk bytes of a three-record log, pinned so the format can
+    /// only change on purpose: magic, then one `len ∥ seq ∥ payload ∥ crc`
+    /// frame per record.
+    #[rustfmt::skip]
+    const GOLDEN: [u8; 132] = [
+        b'P', b'S', b'C', b'C', b'W', b'A', b'L', b'1',
+        // seq 1: ins (0,1), (2,3)
+        0x18, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
+        0x4e, 0xbd, 0x9c, 0xb9, 0x7b, 0xbb, 0x78, 0x5e,
+        // seq 2: del (9,9)
+        0x10, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00,
+        0x09, 0x00, 0x00, 0x00,
+        0x06, 0xe7, 0x7b, 0x87, 0x52, 0xcd, 0xf6, 0x52,
+        // seq 3: ins (5,6), del (7,8)
+        0x18, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00,
+        0x06, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00,
+        0xd2, 0xdf, 0xa3, 0x28, 0x1f, 0x2b, 0xd4, 0xa9,
+    ];
+
+    #[test]
+    fn on_disk_bytes_match_the_golden_log() {
+        let path = tmp("golden");
+        let mut wal = Wal::create(&path).unwrap();
+        wal.append(&rec(&[(0, 1), (2, 3)], &[])).unwrap();
+        wal.append(&rec(&[], &[(9, 9)])).unwrap();
+        wal.append(&rec(&[(5, 6)], &[(7, 8)])).unwrap();
+        drop(wal);
+        assert_eq!(std::fs::read(&path).unwrap(), GOLDEN);
+        let (_, scan) = Wal::open(&path, 0).unwrap();
+        assert_eq!(scan.records.len(), 3);
         std::fs::remove_file(path).ok();
     }
 

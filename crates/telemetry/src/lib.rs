@@ -22,6 +22,9 @@
 //!   the span sink, read back by `pscc-doctor` for post-mortem timeline
 //!   reconstruction. Live telemetry dies with the process; the recorder
 //!   is what survives it.
+//! * **Framed logs** ([`frame`]): the one codec of the recorder's journal
+//!   and the store's write-ahead log, and the [`Checksum64`](frame::Checksum64)
+//!   that also seals graph snapshots.
 //!
 //! Everything is hand-rolled on `std` — the workspace builds with no
 //! network access, so no crates.io observability stack is available.
@@ -37,6 +40,7 @@
 //!   down to an empty inlined function, for checking the overhead claim
 //!   against a build with no instrumentation text at all.
 
+pub mod frame;
 pub mod logging;
 pub mod metrics;
 pub mod recorder;

@@ -11,25 +11,20 @@
 //!
 //! ## On-disk format
 //!
-//! Each segment reuses the WAL framing idiom of `crates/store`: an 8-byte
-//! magic ([`FLIGHT_MAGIC`]) followed by records
-//!
-//! ```text
-//! len: u32 | seq: u64 | payload (len bytes) | crc: u64
-//! ```
-//!
-//! little-endian, `crc` an FNV-1a 64 checksum over `len ∥ seq ∥ payload`.
-//! The payload is one UTF-8 line of tab-separated `key=value` fields
-//! (values escaped with [`escape_field_value`]), always starting
-//! `ts=<ns>\tevent=<kind>`, so a journal is greppable *and* machine
-//! parseable with [`parse_line`]. Sequence numbers increase by exactly 1
-//! across the whole journal; a segment file is named after its first
-//! record's seq (`flight-<seq:020>.fdr`), rotation starts a fresh segment
-//! past [`SEGMENT_ROTATE_BYTES`] and deletes the oldest past
-//! [`MAX_SEGMENTS`], and a torn tail (the crash the recorder exists for)
-//! is tolerated by every scan: a short, implausible, or checksum-failing
-//! final frame ends the scan, and writers never append to an old segment,
-//! so a torn tail never corrupts later records.
+//! Each segment is an 8-byte magic ([`FLIGHT_MAGIC`]) followed by frames
+//! in the framed-log layout [`frame`] defines, the one the store's
+//! write-ahead log uses too. A payload is one UTF-8 line of
+//! tab-separated `key=value` fields (values escaped with
+//! [`escape_field_value`]), always starting `ts=<ns>\tevent=<kind>`, so a
+//! journal is greppable *and* machine parseable with [`parse_line`].
+//! Sequence numbers increase by exactly 1 across the whole journal; a
+//! segment file is named after its first record's seq
+//! (`flight-<seq:020>.fdr`), rotation starts a fresh segment past
+//! [`SEGMENT_ROTATE_BYTES`] and deletes the oldest past [`MAX_SEGMENTS`],
+//! and a torn tail (the crash the recorder exists for) is tolerated by
+//! every scan: a frame that fails to decode, or whose payload is not
+//! UTF-8, ends the segment's scan, and writers never append to an old
+//! segment, so a torn tail never corrupts later records.
 //!
 //! ## Process-global installation
 //!
@@ -43,6 +38,7 @@
 //! diagnostic artifact, not a source of truth, so nothing fsyncs on the
 //! hot path.
 
+use crate::frame;
 use crate::metrics;
 use crate::trace;
 use std::collections::VecDeque;
@@ -53,9 +49,6 @@ use std::sync::{Arc, Mutex, Once, OnceLock};
 
 /// First 8 bytes of every segment file.
 pub const FLIGHT_MAGIC: [u8; 8] = *b"PSCCFDR1";
-
-/// `len` + `seq` + `crc` bytes around each payload.
-const FRAME_OVERHEAD: u64 = 4 + 8 + 8;
 
 /// A segment reaching this size is closed; the next flush starts a new one.
 pub const SEGMENT_ROTATE_BYTES: u64 = 256 * 1024;
@@ -68,7 +61,8 @@ pub const MAX_SEGMENTS: usize = 4;
 /// dropped (and counted) past this.
 pub const RING_CAPACITY: usize = 1024;
 
-/// Hard cap on one record's payload; longer events are truncated.
+/// Hard cap on one record's payload; longer events are cut at the last
+/// character boundary at or below it.
 const MAX_PAYLOAD_BYTES: usize = 64 * 1024;
 
 const SEGMENT_PREFIX: &str = "flight-";
@@ -97,18 +91,6 @@ fn flushes_counter() -> &'static Arc<metrics::Counter> {
 fn bytes_counter() -> &'static Arc<metrics::Counter> {
     static C: OnceLock<Arc<metrics::Counter>> = OnceLock::new();
     C.get_or_init(|| metrics::counter("pscc_flight_bytes_written_total"))
-}
-
-/// FNV-1a 64 over `bytes` — the frame checksum. (The store's `Checksum64`
-/// lives above this crate in the dependency order, so the recorder
-/// carries its own tiny equivalent; the two formats are independent.)
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Escapes one field value for the tab-separated payload line: `\` →
@@ -377,15 +359,13 @@ impl Inner {
         // Frame everything into one buffer, then append with one write.
         let mut buf: Vec<u8> = Vec::new();
         for (_, line) in &lines {
-            let payload = line.as_bytes();
-            let payload = &payload[..payload.len().min(MAX_PAYLOAD_BYTES)];
-            let mut frame = Vec::with_capacity(payload.len() + FRAME_OVERHEAD as usize);
-            frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            frame.extend_from_slice(&j.next_seq.to_le_bytes());
-            frame.extend_from_slice(payload);
-            let crc = fnv1a64(&frame);
-            frame.extend_from_slice(&crc.to_le_bytes());
-            buf.extend_from_slice(&frame);
+            // Cut on a character boundary: a split character would fail
+            // the reader's UTF-8 check and end the segment's scan there.
+            let mut cut = line.len().min(MAX_PAYLOAD_BYTES);
+            while !line.is_char_boundary(cut) {
+                cut -= 1;
+            }
+            frame::encode(&mut buf, j.next_seq, &line.as_bytes()[..cut]);
             j.next_seq += 1;
         }
 
@@ -469,8 +449,9 @@ pub struct SegmentScan {
     pub records: Vec<FlightRecord>,
     /// Bytes past the last valid frame (torn tail or trailing garbage).
     pub trailing_bytes: u64,
-    /// Header-level corruption (missing/damaged magic), fatal for the
-    /// whole segment.
+    /// Corruption inside the segment: a missing or damaged magic (fatal
+    /// for the whole segment), or a sequence break between two
+    /// checksum-valid records (the scan stops there).
     pub error: Option<String>,
 }
 
@@ -496,7 +477,8 @@ pub struct DirScan {
 }
 
 /// Scans one segment read-only: validates the magic, then decodes frames
-/// until the first short/implausible/checksum-failing one.
+/// until the first one that fails to decode or is not UTF-8, or until a
+/// sequence break.
 pub fn scan_segment(path: &Path) -> io::Result<SegmentScan> {
     let first_name_seq =
         path.file_name().and_then(|n| n.to_str()).and_then(segment_name_seq).unwrap_or(0);
@@ -508,44 +490,19 @@ pub fn scan_segment(path: &Path) -> io::Result<SegmentScan> {
         trailing_bytes: 0,
         error: None,
     };
-    if bytes.len() < FLIGHT_MAGIC.len() || bytes[..FLIGHT_MAGIC.len()] != FLIGHT_MAGIC {
+    let utf8 = |payload: &[u8]| std::str::from_utf8(payload).ok().map(str::to_owned);
+    let Some(frames) = frame::scan(&bytes, &FLIGHT_MAGIC, utf8) else {
         scan.error = Some(format!("{}: bad or missing segment magic", path.display()));
         return Ok(scan);
+    };
+    if let Some((last, next)) = frames.seq_break {
+        scan.error =
+            Some(format!("{}: sequence break: record {last} followed by {next}", path.display()));
     }
-    let mut at = FLIGHT_MAGIC.len();
-    while at < bytes.len() {
-        let Some(rec) = read_frame(&bytes, at) else {
-            break;
-        };
-        let (seq, line, next) = rec;
-        scan.records.push(FlightRecord { seq, line });
-        at = next;
-    }
-    scan.trailing_bytes = (bytes.len() - at) as u64;
+    scan.records =
+        frames.records.into_iter().map(|(seq, line)| FlightRecord { seq, line }).collect();
+    scan.trailing_bytes = (bytes.len() - frames.valid_len) as u64;
     Ok(scan)
-}
-
-/// Decodes the frame at `at`, returning `(seq, payload, next_offset)` or
-/// `None` on a short frame, implausible length, checksum mismatch, or
-/// non-UTF-8 payload. Every access is bounds-checked: arbitrary
-/// corruption must end the scan, never panic it.
-fn read_frame(bytes: &[u8], at: usize) -> Option<(u64, String, usize)> {
-    let remaining = bytes.len().checked_sub(at)?;
-    if (remaining as u64) < FRAME_OVERHEAD {
-        return None;
-    }
-    let len = u32::from_le_bytes(bytes.get(at..at + 4)?.try_into().ok()?) as usize;
-    if len as u64 > remaining as u64 - FRAME_OVERHEAD {
-        return None;
-    }
-    let seq = u64::from_le_bytes(bytes.get(at + 4..at + 12)?.try_into().ok()?);
-    let payload_end = at + 12 + len;
-    let crc_stored = u64::from_le_bytes(bytes.get(payload_end..payload_end + 8)?.try_into().ok()?);
-    if fnv1a64(bytes.get(at..payload_end)?) != crc_stored {
-        return None;
-    }
-    let line = std::str::from_utf8(bytes.get(at + 12..payload_end)?).ok()?.to_string();
-    Some((seq, line, payload_end + 8))
 }
 
 /// Scans every segment in `dir` read-only, classifying damage: torn
@@ -818,6 +775,60 @@ mod tests {
         fs::write(&path, &bytes).expect("damage");
         let scan = scan_dir(&dir).expect("scan");
         assert!(!scan.corruption.is_empty(), "magic damage must be corruption");
+    }
+
+    #[test]
+    fn over_long_payloads_are_cut_on_a_char_boundary() {
+        let dir = tmp("utf8-cut");
+        let rec = Recorder::open(&dir).expect("open");
+        // Three-byte characters past the cap, shifted by 0, 1 and 2 bytes:
+        // at least one cut lands inside a character.
+        let euros = "€".repeat(MAX_PAYLOAD_BYTES / 3 + 1);
+        for skew in 0..3 {
+            let pad = format!("{}{euros}", "x".repeat(skew));
+            rec.record(&FlightEvent::new("long").field("pad", pad));
+        }
+        rec.record(&ev("short", 1));
+        rec.flush().expect("flush");
+        let scan = scan_dir(&dir).expect("scan");
+        assert!(scan.corruption.is_empty(), "{:?}", scan.corruption);
+        assert_eq!(scan.torn_bytes, 0);
+        let kinds: Vec<String> = scan
+            .records
+            .iter()
+            .flat_map(|r| parse_line(&r.line))
+            .filter(|(k, v)| k == "event" && (v == "long" || v == "short"))
+            .map(|(_, v)| v)
+            .collect();
+        assert_eq!(kinds, ["long", "long", "long", "short"]);
+        assert!(scan.records.iter().all(|r| r.line.len() <= MAX_PAYLOAD_BYTES));
+    }
+
+    /// A segment laid out by hand from the format description, without
+    /// `frame::encode`: the magic, then per record `len: u32`, `seq: u64`,
+    /// the payload and `crc: u64` over the three before it, little-endian.
+    /// A third, checksum-valid record out of sequence is a finding.
+    #[test]
+    fn scan_reads_a_segment_laid_out_by_hand() {
+        let dir = tmp("by-hand");
+        let lines = ["ts=5\tevent=a", "ts=6\tevent=b\tk=v", "ts=7\tevent=c"];
+        let mut bytes = b"PSCCFDR1".to_vec();
+        let mut start = 0;
+        for (seq, line) in [40u64, 41, 43].into_iter().zip(lines) {
+            start = bytes.len();
+            bytes.extend((line.len() as u32).to_le_bytes());
+            bytes.extend(seq.to_le_bytes());
+            bytes.extend(line.as_bytes());
+            let crc = frame::Checksum64::of(&bytes[start..]);
+            bytes.extend(crc.to_le_bytes());
+        }
+        let path = dir.join(segment_file_name(40));
+        fs::write(&path, &bytes).expect("write segment");
+        let scan = scan_segment(&path).expect("scan");
+        let got: Vec<(u64, &str)> = scan.records.iter().map(|r| (r.seq, r.line.as_str())).collect();
+        assert_eq!(got, [(40, lines[0]), (41, lines[1])]);
+        assert!(scan.error.is_some_and(|e| e.contains("sequence break")));
+        assert_eq!(scan.trailing_bytes, (bytes.len() - start) as u64, "the stray record");
     }
 
     #[test]

@@ -27,12 +27,12 @@
 
 use parallel_scc::graph::generators::lattice::lattice_sqr;
 use parallel_scc::graph::generators::rmat::rmat_digraph;
-use parallel_scc::graph::io::Checksum64;
 use parallel_scc::graph::{build_csr, SubgraphView};
 use parallel_scc::prelude::*;
 use parallel_scc::runtime::hash64;
 use parallel_scc::scc::verify::{component_stats, same_partition};
 use parallel_scc::scc::{parallel_scc_induced, FINAL_TAG};
+use parallel_scc::telemetry::frame::Checksum64;
 
 fn assert_representatives(labels: &[u64], ctx: &str) {
     for (v, &label) in labels.iter().enumerate() {

@@ -101,17 +101,6 @@ fn lelists_exact_under_oversubscription() {
     }
 }
 
-#[test]
-fn kcore_stable_across_pool_widths() {
-    use parallel_scc::apps::{core_numbers, core_numbers_sequential};
-    let g = parallel_scc::graph::generators::random::gnm_digraph(1_000, 6_000, 13).symmetrize();
-    let want = core_numbers_sequential(&g);
-    for threads in [1usize, 4, 8] {
-        let got = with_threads(threads, || core_numbers(&g));
-        assert_eq!(got, want, "threads={threads}");
-    }
-}
-
 /// An IndexConfig that makes index builds take long enough for another
 /// thread to reliably land work mid-build: force the interval tier (no
 /// bitset shortcut) with many randomized labelings over a large DAG.
