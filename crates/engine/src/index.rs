@@ -52,7 +52,7 @@ use pscc_apps::{condense_scc, topological_order, Condensation};
 use pscc_core::{dense_components, parallel_scc, parallel_scc_induced, SccConfig};
 use pscc_graph::{csr_from_weighted_arcs, merge_csr, Csr, DiGraph, V};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 pub use crate::layers::SummaryTier;
@@ -154,7 +154,8 @@ pub struct IndexStats {
     pub condense_seconds: f64,
     /// Seconds computing topological levels (last assembly).
     pub levels_seconds: f64,
-    /// Seconds building the descendant summary (last assembly).
+    /// Seconds building the descendant summary (last assembly, or the
+    /// label tier's relabel on an arc unsplice).
     pub summary_seconds: f64,
     /// Number of strongly connected components.
     pub num_components: usize,
@@ -224,7 +225,8 @@ impl IndexStats {
 /// absorbed-delta counter and the arc-support table (only the catalog's
 /// update-lock-serialized writers touch the latter — queries never do).
 pub struct Index {
-    scc: SccLayer,
+    /// Shared by the repairs that keep every component (splice, unsplice).
+    scc: Arc<SccLayer>,
     levels: LevelLayer,
     dag: DiGraph,
     summary: SummaryLayer,
@@ -292,18 +294,9 @@ impl Index {
         let (summary, summary_bytes, exception_components) =
             SummaryLayer::build(&dag, &order, &cfg.summary());
         let summary_seconds = t.elapsed().as_secs_f64();
-        if summary.tier() == SummaryTier::Labels {
-            // Build-time label telemetry: footprint gauges plus the
-            // construction-cost histogram the bench gates on.
-            pscc_telemetry::gauge("pscc_label_bytes").set(summary_bytes as i64);
-            pscc_telemetry::gauge("pscc_label_entries").set(summary.label_entries() as i64);
-            pscc_telemetry::histogram("pscc_label_build_nanos")
-                .record(std::time::Duration::from_secs_f64(summary_seconds));
-        }
 
-        let stats = IndexStats {
+        let mut stats = IndexStats {
             levels_seconds,
-            summary_seconds,
             num_components: scc.sizes.len(),
             dag_arcs: dag.m(),
             summary_bytes,
@@ -311,14 +304,30 @@ impl Index {
             label_entries: summary.label_entries(),
             ..base
         };
+        Self::record_summary_build(&mut stats, &summary, summary_seconds);
         Index {
-            scc,
+            scc: Arc::new(scc),
             levels,
             dag,
             summary,
             stats,
             absorbed: AtomicU64::new(0),
             support: Mutex::new(support),
+        }
+    }
+
+    /// Charges one from-scratch summary build to `stats`, whose footprint
+    /// fields must already describe `summary`, and on the label tier to the
+    /// build telemetry: the `pscc_label_bytes` and `pscc_label_entries`
+    /// gauges and the `pscc_label_build_nanos` histogram. A fresh assembly
+    /// and the label tier's relabel on an arc unsplice both record here.
+    fn record_summary_build(stats: &mut IndexStats, summary: &SummaryLayer, seconds: f64) {
+        stats.summary_seconds = seconds;
+        if summary.tier() == SummaryTier::Labels {
+            pscc_telemetry::gauge("pscc_label_bytes").set(stats.summary_bytes as i64);
+            pscc_telemetry::gauge("pscc_label_entries").set(stats.label_entries as i64);
+            pscc_telemetry::histogram("pscc_label_build_nanos")
+                .record(std::time::Duration::from_secs_f64(seconds));
         }
     }
 
@@ -391,7 +400,7 @@ impl Index {
         stats.dag_splices += 1;
         stats.repair_seconds += t.elapsed().as_secs_f64();
         Index {
-            scc: self.scc.clone(),
+            scc: Arc::clone(&self.scc),
             levels,
             dag,
             summary,
@@ -520,18 +529,24 @@ impl Index {
         // Bitset/interval tiers repair the affected ancestors of a copy;
         // the label tier relabels against the new DAG (exact certificates
         // cannot be narrowed locally) — see `SummaryLayer::unsplice_arcs`.
+        let relabel = self.summary.tier() == SummaryTier::Labels;
+        let t_summary = Instant::now();
         let summary = self.summary.unsplice_arcs(&dag, &affected, &cfg.summary());
+        let summary_seconds = t_summary.elapsed().as_secs_f64();
 
         let mut stats = self.stats.clone();
         stats.dag_arcs = dag.m();
         stats.summary_bytes = summary.bytes(dag.n());
         stats.exception_components = summary.exception_count();
         stats.label_entries = summary.label_entries();
+        if relabel {
+            Self::record_summary_build(&mut stats, &summary, summary_seconds);
+        }
         stats.built_by = BuildCause::ArcUnsplice;
         stats.arc_unsplices += 1;
         stats.repair_seconds += t.elapsed().as_secs_f64();
         Index {
-            scc: self.scc.clone(),
+            scc: Arc::clone(&self.scc),
             levels,
             dag,
             summary,
@@ -923,6 +938,32 @@ mod tests {
         assert_eq!(s.exception_components, 0);
     }
 
+    /// The label tier's canonical form: the checksum of its five arrays on
+    /// two benchmark-shaped graphs, recorded before the flat-pass build
+    /// replaced the per-component one, at every pool width. A build that
+    /// reorders hubs or entries (a parallel labeling, say) must re-record
+    /// these on purpose.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "sized for release builds; CI runs it with --release")]
+    fn label_checksums_are_pinned_at_every_width() {
+        use pscc_graph::generators::{lattice::lattice_sqr, rmat::rmat_digraph};
+        let graphs = [
+            ("rmat-14", rmat_digraph(14, 120_000, 1), 0xc088_72f0_7761_0f8e_u64),
+            ("lattice 200x200", lattice_sqr(200, 200, 1), 0x83dd_c5cc_ffff_9ab7),
+        ];
+        for (name, g, want) in &graphs {
+            for width in [1, 2, 8] {
+                let idx = pscc_runtime::with_threads(width, || {
+                    Index::build_with_config(g, &label_forcing())
+                });
+                let SummaryLayer::Labels(labels) = &idx.summary else {
+                    panic!("{name}: not on the label tier");
+                };
+                assert_eq!(labels.checksum(), *want, "{name} at width {width}: the labels moved");
+            }
+        }
+    }
+
     #[test]
     fn levels_strictly_increase_along_dag_arcs() {
         let g = gnm_digraph(120, 300, 3);
@@ -997,6 +1038,40 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A repair that keeps every component shares the SCC layer with the
+    /// index it patches instead of copying it.
+    #[test]
+    fn repairs_that_keep_components_share_the_scc_layer() {
+        let g = DiGraph::from_edges(4, &[(0, 1), (1, 2)]);
+        let cfg = label_forcing();
+        let idx = Index::build_with_config(&g, &cfg);
+        let spliced = idx.splice_dag_arcs(&[(idx.comp(2), idx.comp(3))], &[(2, 3)], &[], &cfg);
+        assert!(Arc::ptr_eq(&idx.scc, &spliced.scc));
+        let dead = [(spliced.comp(0), spliced.comp(1))];
+        let unspliced = spliced.unsplice_dag_arcs(&dead, &[(0, 1)], &cfg);
+        assert!(Arc::ptr_eq(&idx.scc, &unspliced.scc));
+        assert!(!unspliced.reaches(0, 2) && unspliced.reaches(1, 3));
+    }
+
+    /// The label tier's arc unsplice relabels from scratch, so the patched
+    /// index reports that relabel's seconds, not its parent's build time.
+    #[test]
+    fn label_relabel_on_arc_unsplice_reports_its_own_summary_time() {
+        let g = gnm_digraph(2_000, 4_000, 17);
+        let arcs: Vec<(V, V)> = g.out_csr().edges().filter(|&(a, b)| a < b).collect();
+        let g = DiGraph::from_edges(2_000, &arcs);
+        let cfg = label_forcing();
+        let idx = Index::build_with_config(&g, &cfg);
+        assert_eq!(idx.tier(), SummaryTier::Labels);
+        let (u, v) = arcs[arcs.len() / 2];
+        let patched = idx.unsplice_dag_arcs(&[(idx.comp(u), idx.comp(v))], &[(u, v)], &cfg);
+        assert_eq!(patched.stats().built_by, BuildCause::ArcUnsplice);
+        assert_eq!(patched.tier(), SummaryTier::Labels);
+        let (before, after) = (idx.stats().summary_seconds, patched.stats().summary_seconds);
+        assert_ne!(after.to_bits(), before.to_bits(), "the relabel reports the old build's time");
+        assert!(after > 0.0);
     }
 
     /// `unsplice_dag_arcs` on a dead arc must answer exactly like a

@@ -9,7 +9,7 @@
 //! | [`SccLayer`] | BGSS SCC over the graph | [`SccLayer::remapped`] — merge components through an old→new id map |
 //! | condensation DAG | `condense_scc` over all edges | `DiGraph::with_delta` arc splice/unsplice, or contraction of the *old DAG* (never the graph) |
 //! | [`LevelLayer`] | sweep in topological order | [`LevelLayer::splice`] — worklist relaxation from new arcs; [`LevelLayer::unsplice`] — exact recompute from changed-arc targets |
-//! | [`SummaryLayer`] | bitsets, 2-hop hub labels, or interval labels | [`SummaryLayer::splice_arcs`] — recompute/widen only the affected ancestors (hub labels: extend coverage over each new arc's `anc × desc` region); [`SummaryLayer::unsplice_arcs`] — same for bitsets/intervals (sound for arc removal), hub labels relabel from scratch (exact certificates are not over-approximations) |
+//! | [`SummaryLayer`] | bitsets, 2-hop hub labels ([`LabelLayer::build`]: one sequential flat pass, hubs by a counting sort on degree, pruning by a mark array over ranks), or interval labels | [`SummaryLayer::splice_arcs`] — recompute/widen only the affected ancestors (hub labels: extend coverage over each new arc's `anc × desc` region); [`SummaryLayer::unsplice_arcs`] — same for bitsets/intervals (sound for arc removal), hub labels relabel from scratch (exact certificates are not over-approximations) |
 //! | [`SupportLayer`] | the condensation's own arc multiplicities (`contract_csr`) | per-edge increments/decrements, [`SupportLayer::realigned`] after an arc splice/unsplice, [`SupportLayer::contracted`] after merges |
 //!
 //! The DAG itself has no wrapper type: `DiGraph` already supports the two
@@ -354,8 +354,37 @@ pub(crate) struct LabelLayer {
 impl LabelLayer {
     /// Full pruned-landmark build. Returns `None` when the total label
     /// footprint would exceed `budget_bytes` — the caller falls back to
-    /// the interval tier. Sequential: at 0.31 s on the benchmark's
-    /// `serve-fresh` graph it is the largest row left in the index build.
+    /// the interval tier. The budget is checked after every hub, so an
+    /// overflowing build stops at the first hub that proves it.
+    ///
+    /// **Hub order.** Descending `out + in` degree, ties by ascending id:
+    /// one stable counting sort over the degrees ([`hubs_by_degree`]).
+    ///
+    /// **Storage.** The lists under construction are flat: each side keeps
+    /// one `[len, e0, e1, first overflow block]` record per component, and
+    /// longer lists continue in one pool of [`BLOCK`]-entry blocks that
+    /// both sides share, linked by index and never freed one by one. One
+    /// pass at the end turns each side into its CSR. Entries are appended
+    /// in hub-rank order, so every list stays sorted ascending, and the
+    /// build allocates a handful of arrays however many components it
+    /// labels.
+    ///
+    /// **Pruning.** Hub `h`'s forward sweep reaches `t` and asks whether
+    /// an earlier hub already answers `h ⇝ t`, i.e. whether `label_out(h)`
+    /// and `label_in(t)` share a rank. Instead of merging the two lists,
+    /// the sweep marks the ranks of `label_out(h)` once and prunes `t` iff
+    /// some rank of `label_in(t)` is marked. That is the same test because
+    /// `label_out(h)` cannot change during the forward sweep, which appends
+    /// to `label_in` lists only. The backward sweep mirrors it: it marks
+    /// `label_in(h)`, complete once the forward sweep is done and untouched
+    /// by a sweep that appends to `label_out` lists only, and prunes `s`
+    /// iff some rank of `label_out(s)` is marked. A sweep visits each
+    /// component once and tests it before its own append, so every test
+    /// sees the lists a merge-intersection would see, and the output is the
+    /// pruned landmark labeling entry for entry.
+    ///
+    /// Sequential. `seen` and the marks are `u32` epochs, two per hub, so
+    /// the DAG must have fewer than 2³¹ components.
     pub fn build(dag: &DiGraph, budget_bytes: usize) -> Option<LabelLayer> {
         let k = dag.n();
         // Fixed overhead: rank_of + both offset arrays, 4 bytes each.
@@ -364,69 +393,35 @@ impl LabelLayer {
             return None;
         }
         let max_entries = (budget_bytes - fixed) / 4;
-        // Hubs in degree-descending order (stable sort: ties by id).
-        let mut order: Vec<V> = (0..k as V).collect();
-        order.sort_by_key(|&c| {
-            std::cmp::Reverse(dag.out_neighbors(c).len() + dag.in_neighbors(c).len())
-        });
+        assert!(k < 1 << 31, "{k} components: the label build's u32 epochs need fewer than 2^31");
+        let order = hubs_by_degree(dag);
         let mut rank_of = vec![0u32; k];
         for (rank, &c) in order.iter().enumerate() {
             rank_of[c as usize] = rank as u32;
         }
-        // Build-time labels: per-component hub-rank vectors, appended in
-        // processing order, so they stay sorted ascending throughout and
-        // the pruning intersections below work on sorted input.
-        let mut label_out: Vec<Vec<u32>> = vec![Vec::new(); k];
-        let mut label_in: Vec<Vec<u32>> = vec![Vec::new(); k];
-        let mut entries = 0usize;
-        let mut seen = vec![u64::MAX; k];
-        let mut work: Vec<V> = Vec::new();
+        // What the layer keeps is allocated before the scratch, and the
+        // scratch is freed before the hub arrays are, so the build leaves
+        // no hole under its own output.
+        let rank_of: Arc<[u32]> = rank_of.into();
+        let mut out_offsets = Vec::with_capacity(k + 1);
+        let mut in_offsets = Vec::with_capacity(k + 1);
+        let mut build = LabelBuild::new(k);
+        let (mut in_entries, mut out_entries) = (0usize, 0usize);
         for (rank, &h) in order.iter().enumerate() {
             let rank = rank as u32;
-            let hc = h as usize;
-            // Forward sweep: h into label_in of everything h still covers.
-            let epoch = 2 * rank as u64;
-            seen[hc] = epoch;
-            work.push(h);
-            while let Some(t) = work.pop() {
-                let t = t as usize;
-                if t != hc && sorted_intersect(&label_out[hc], &label_in[t]).0 {
-                    continue; // pair already covered by an earlier hub
-                }
-                label_in[t].push(rank);
-                entries += 1;
-                for &d in dag.out_neighbors(t as V) {
-                    if seen[d as usize] != epoch {
-                        seen[d as usize] = epoch;
-                        work.push(d);
-                    }
-                }
-            }
-            // Backward sweep: h into label_out of everything still reaching h.
-            let epoch = epoch + 1;
-            seen[hc] = epoch;
-            work.push(h);
-            while let Some(s) = work.pop() {
-                let s = s as usize;
-                if s != hc && sorted_intersect(&label_out[s], &label_in[hc]).0 {
-                    continue;
-                }
-                label_out[s].push(rank);
-                entries += 1;
-                for &p in dag.in_neighbors(s as V) {
-                    if seen[p as usize] != epoch {
-                        seen[p as usize] = epoch;
-                        work.push(p);
-                    }
-                }
-            }
-            if entries > max_entries {
+            in_entries += build.sweep::<true>(dag, h, rank, 2 * rank + 1);
+            out_entries += build.sweep::<false>(dag, h, rank, 2 * rank + 2);
+            if in_entries + out_entries > max_entries {
                 return None;
             }
         }
-        let (out_offsets, out_hubs) = flatten_labels(&label_out);
-        let (in_offsets, in_hubs) = flatten_labels(&label_in);
-        Some(LabelLayer { rank_of: rank_of.into(), out_offsets, out_hubs, in_offsets, in_hubs })
+        drop(order);
+        let LabelBuild { out, inn, pool, seen, marks, work } = build;
+        drop((seen, marks, work));
+        let out_hubs = lists_csr(&out, &pool, out_entries, &mut out_offsets);
+        drop(out);
+        let in_hubs = lists_csr(&inn, &pool, in_entries, &mut in_offsets);
+        Some(LabelLayer { rank_of, out_offsets, out_hubs, in_offsets, in_hubs })
     }
 
     /// The merge-intersection point query: true iff `label_out(cu)` and
@@ -438,6 +433,19 @@ impl LabelLayer {
         let a = &self.out_hubs[self.out_offsets[cu] as usize..self.out_offsets[cu + 1] as usize];
         let b = &self.in_hubs[self.in_offsets[cv] as usize..self.in_offsets[cv + 1] as usize];
         sorted_intersect(a, b)
+    }
+
+    /// FNV-1a-64 over the little-endian bytes of the five label arrays, in
+    /// declaration order: the canonical-form pin of the tests.
+    #[cfg(test)]
+    pub fn checksum(&self) -> u64 {
+        let mut sum = pscc_telemetry::frame::Checksum64::new();
+        for part in
+            [&self.rank_of[..], &self.out_offsets, &self.out_hubs, &self.in_offsets, &self.in_hubs]
+        {
+            part.iter().for_each(|x| sum.update(&x.to_le_bytes()));
+        }
+        sum.finish()
     }
 
     /// Total hub entries across both label sides.
@@ -510,17 +518,171 @@ fn sorted_intersect(a: &[u32], b: &[u32]) -> (bool, usize) {
     (false, steps)
 }
 
-/// Flattens per-component hub vectors into a CSR (offsets, values) pair.
-fn flatten_labels(labels: &[Vec<u32>]) -> (Vec<u32>, Vec<u32>) {
-    let mut offsets = Vec::with_capacity(labels.len() + 1);
-    let total = labels.iter().map(Vec::len).sum();
+/// Components in descending `out + in` degree, ties by ascending id (the
+/// order a stable sort by descending degree gives), by one counting sort.
+fn hubs_by_degree(dag: &DiGraph) -> Vec<V> {
+    let comps = 0..dag.n() as V;
+    let degree = |c: V| dag.out_neighbors(c).len() + dag.in_neighbors(c).len();
+    // start[d]: the first slot of degree d, higher degrees first.
+    let mut start = vec![0usize; comps.clone().map(degree).max().map_or(0, |d| d + 1)];
+    for c in comps.clone() {
+        start[degree(c)] += 1;
+    }
+    let mut next = 0usize;
+    for slot in start.iter_mut().rev() {
+        (*slot, next) = (next, next + *slot);
+    }
+    let mut order = vec![0 as V; dag.n()];
+    for c in comps {
+        let d = degree(c);
+        order[start[d]] = c;
+        start[d] += 1;
+    }
+    order
+}
+
+/// Hub entries per overflow block of the label build's pool. A block's
+/// last word links the next block of its list; 0 means none, so block 0
+/// is a placeholder that is never handed out.
+const BLOCK: usize = 7;
+
+/// The working state of [`LabelLayer::build`]: both sides' flat lists,
+/// their shared overflow pool, and the sweeps' epoch arrays.
+struct LabelBuild {
+    /// `[len, e0, e1, first overflow block]` of `label_out`, per component.
+    out: Vec<[u32; 4]>,
+    /// The same records for `label_in`.
+    inn: Vec<[u32; 4]>,
+    /// Overflow blocks of both sides: `BLOCK` entries, then the next link.
+    pool: Vec<[u32; BLOCK + 1]>,
+    /// The epoch of the sweep that last reached each component.
+    seen: Vec<u32>,
+    /// The epoch of the sweep that last marked each hub rank.
+    marks: Vec<u32>,
+    work: Vec<V>,
+}
+
+impl LabelBuild {
+    fn new(k: usize) -> LabelBuild {
+        LabelBuild {
+            out: vec![[0; 4]; k],
+            inn: vec![[0; 4]; k],
+            pool: vec![[0; BLOCK + 1]],
+            seen: vec![0; k],
+            marks: vec![0; k],
+            work: Vec::new(),
+        }
+    }
+
+    /// Hub `h`'s sweep at `epoch`. Forward, it adds `rank` to `label_in`
+    /// of every component `h` reaches that no rank of `label_out(h)`
+    /// already covers; backward, to `label_out` of every component
+    /// reaching `h` that no rank of `label_in(h)` covers. Returns the
+    /// entries added.
+    fn sweep<const FORWARD: bool>(&mut self, dag: &DiGraph, h: V, rank: u32, epoch: u32) -> usize {
+        let (hub, lists) =
+            if FORWARD { (&self.out, &mut self.inn) } else { (&self.inn, &mut self.out) };
+        let marks = &mut self.marks;
+        scan(&hub[h as usize], &self.pool, |r| {
+            marks[r as usize] = epoch;
+            false
+        });
+        let mut added = 0usize;
+        self.seen[h as usize] = epoch;
+        self.work.push(h);
+        while let Some(t) = self.work.pop() {
+            let own = t == h;
+            let covered = |r: u32| !own && marks[r as usize] == epoch;
+            let Some(tail) = scan(&lists[t as usize], &self.pool, covered) else {
+                continue; // pair already covered by an earlier hub
+            };
+            push(&mut lists[t as usize], tail, &mut self.pool, rank);
+            added += 1;
+            let next = if FORWARD { dag.out_neighbors(t) } else { dag.in_neighbors(t) };
+            for &d in next {
+                if self.seen[d as usize] != epoch {
+                    self.seen[d as usize] = epoch;
+                    self.work.push(d);
+                }
+            }
+        }
+        added
+    }
+}
+
+/// Calls `hit` on the ranks of one flat list in order and stops at the
+/// first it returns true for: `None` then, else `Some` of the list's last
+/// overflow block (0 when it has none), where [`push`] appends.
+#[inline]
+fn scan(
+    rec: &[u32; 4],
+    pool: &[[u32; BLOCK + 1]],
+    mut hit: impl FnMut(u32) -> bool,
+) -> Option<u32> {
+    let len = rec[0] as usize;
+    if rec[1..1 + len.min(2)].iter().any(|&r| hit(r)) {
+        return None;
+    }
+    let (mut block, mut left) = (rec[3], len.saturating_sub(2));
+    while left > 0 {
+        let entries = &pool[block as usize];
+        let here = left.min(BLOCK);
+        if entries[..here].iter().any(|&r| hit(r)) {
+            return None;
+        }
+        left -= here;
+        if left > 0 {
+            block = entries[BLOCK];
+        }
+    }
+    Some(block)
+}
+
+/// Appends `rank` to the flat list `rec` whose last overflow block is
+/// `tail` (as [`scan`] returned it), opening a pool block when the list's
+/// inline slots or its last block are full.
+fn push(rec: &mut [u32; 4], tail: u32, pool: &mut Vec<[u32; BLOCK + 1]>, rank: u32) {
+    let len = rec[0] as usize;
+    rec[0] += 1;
+    if len < 2 {
+        rec[1 + len] = rank;
+        return;
+    }
+    let at = (len - 2) % BLOCK;
+    if at > 0 {
+        pool[tail as usize][at] = rank;
+        return;
+    }
+    assert!(pool.len() < u32::MAX as usize, "the label pool outgrew u32 block indices");
+    let fresh = pool.len() as u32;
+    let mut block = [0; BLOCK + 1];
+    block[0] = rank;
+    pool.push(block);
+    if len == 2 {
+        rec[3] = fresh;
+    } else {
+        pool[tail as usize][BLOCK] = fresh;
+    }
+}
+
+/// One side's flat lists as a CSR of `total` entries: appends the row
+/// offsets to `offsets` and returns the hubs.
+fn lists_csr(
+    recs: &[[u32; 4]],
+    pool: &[[u32; BLOCK + 1]],
+    total: usize,
+    offsets: &mut Vec<u32>,
+) -> Vec<u32> {
     let mut hubs = Vec::with_capacity(total);
     offsets.push(0u32);
-    for l in labels {
-        hubs.extend_from_slice(l);
+    for rec in recs {
+        scan(rec, pool, |r| {
+            hubs.push(r);
+            false
+        });
         offsets.push(hubs.len() as u32);
     }
-    (offsets, hubs)
+    hubs
 }
 
 /// The descendant-summary layer: answers `cu ⇝ cv` for component pairs
@@ -1407,6 +1569,194 @@ mod tests {
             assert_eq!(got, spliced_reference(&labels, &spliced, &new_arcs), "seed {seed}");
             // An empty splice is an exact copy.
             assert_eq!(labels.spliced(&dag, &[]), labels);
+        }
+    }
+
+    /// The per-component-vector build [`LabelLayer::build`] replaced, kept
+    /// verbatim as its byte-identity reference: one `Vec<u32>` per
+    /// component and side, a sort with a degree key closure, and a
+    /// merge-intersection per visit.
+    fn build_reference(dag: &DiGraph, budget_bytes: usize) -> Option<LabelLayer> {
+        let k = dag.n();
+        // Fixed overhead: rank_of + both offset arrays, 4 bytes each.
+        let fixed = (k + 2 * (k + 1)) * 4;
+        if fixed > budget_bytes {
+            return None;
+        }
+        let max_entries = (budget_bytes - fixed) / 4;
+        // Hubs in degree-descending order (stable sort: ties by id).
+        let mut order: Vec<V> = (0..k as V).collect();
+        order.sort_by_key(|&c| {
+            std::cmp::Reverse(dag.out_neighbors(c).len() + dag.in_neighbors(c).len())
+        });
+        let mut rank_of = vec![0u32; k];
+        for (rank, &c) in order.iter().enumerate() {
+            rank_of[c as usize] = rank as u32;
+        }
+        // Build-time labels: per-component hub-rank vectors, appended in
+        // processing order, so they stay sorted ascending throughout and
+        // the pruning intersections below work on sorted input.
+        let mut label_out: Vec<Vec<u32>> = vec![Vec::new(); k];
+        let mut label_in: Vec<Vec<u32>> = vec![Vec::new(); k];
+        let mut entries = 0usize;
+        let mut seen = vec![u64::MAX; k];
+        let mut work: Vec<V> = Vec::new();
+        for (rank, &h) in order.iter().enumerate() {
+            let rank = rank as u32;
+            let hc = h as usize;
+            // Forward sweep: h into label_in of everything h still covers.
+            let epoch = 2 * rank as u64;
+            seen[hc] = epoch;
+            work.push(h);
+            while let Some(t) = work.pop() {
+                let t = t as usize;
+                if t != hc && sorted_intersect(&label_out[hc], &label_in[t]).0 {
+                    continue; // pair already covered by an earlier hub
+                }
+                label_in[t].push(rank);
+                entries += 1;
+                for &d in dag.out_neighbors(t as V) {
+                    if seen[d as usize] != epoch {
+                        seen[d as usize] = epoch;
+                        work.push(d);
+                    }
+                }
+            }
+            // Backward sweep: h into label_out of everything still reaching h.
+            let epoch = epoch + 1;
+            seen[hc] = epoch;
+            work.push(h);
+            while let Some(s) = work.pop() {
+                let s = s as usize;
+                if s != hc && sorted_intersect(&label_out[s], &label_in[hc]).0 {
+                    continue;
+                }
+                label_out[s].push(rank);
+                entries += 1;
+                for &p in dag.in_neighbors(s as V) {
+                    if seen[p as usize] != epoch {
+                        seen[p as usize] = epoch;
+                        work.push(p);
+                    }
+                }
+            }
+            if entries > max_entries {
+                return None;
+            }
+        }
+        let (out_offsets, out_hubs) = flatten_labels(&label_out);
+        let (in_offsets, in_hubs) = flatten_labels(&label_in);
+        Some(LabelLayer { rank_of: rank_of.into(), out_offsets, out_hubs, in_offsets, in_hubs })
+    }
+
+    /// Flattens per-component hub vectors into a CSR (offsets, values) pair.
+    fn flatten_labels(labels: &[Vec<u32>]) -> (Vec<u32>, Vec<u32>) {
+        let mut offsets = Vec::with_capacity(labels.len() + 1);
+        let total = labels.iter().map(Vec::len).sum();
+        let mut hubs = Vec::with_capacity(total);
+        offsets.push(0u32);
+        for l in labels {
+            hubs.extend_from_slice(l);
+            offsets.push(hubs.len() as u32);
+        }
+        (offsets, hubs)
+    }
+
+    /// A random DAG over `k` components with about `m` arcs, oriented along
+    /// a random permutation so that ids, degrees and depth are unrelated.
+    fn shuffled_dag(k: usize, m: usize, rng: &mut SplitMix64) -> DiGraph {
+        if k < 2 {
+            return dag_of(&[], k);
+        }
+        let mut pos: Vec<V> = (0..k as V).collect();
+        shuffle(&mut pos, rng);
+        let mut arcs: Vec<(V, V)> = (0..m)
+            .filter_map(|_| {
+                let a = rng.next_below(k as u64) as V;
+                let b = rng.next_below(k as u64) as V;
+                match pos[a as usize].cmp(&pos[b as usize]) {
+                    std::cmp::Ordering::Less => Some((a, b)),
+                    std::cmp::Ordering::Greater => Some((b, a)),
+                    std::cmp::Ordering::Equal => None,
+                }
+            })
+            .collect();
+        pscc_graph::dedup_edges(&mut arcs);
+        dag_of(&arcs, k)
+    }
+
+    /// The flat-pass build emits the reference's five arrays byte for
+    /// byte on random DAGs from empty to 3 000 components, sparse to dense.
+    #[test]
+    fn label_build_equals_the_reference_on_random_dags() {
+        let mut rng = SplitMix64::new(0x1abe1);
+        for i in 0..200usize {
+            let k = match i % 10 {
+                0 => i / 10,
+                1..=6 => 1 + rng.next_below(300) as usize,
+                7 | 8 => 300 + rng.next_below(1_200) as usize,
+                _ => 3_000,
+            };
+            let per = [0.5, 1.0, 2.0, 4.0, 8.0][i % 5];
+            let dag = shuffled_dag(k, (k as f64 * per) as usize, &mut rng);
+            let want = build_reference(&dag, usize::MAX);
+            assert_eq!(LabelLayer::build(&dag, usize::MAX), want, "dag {i}: k={k} m={}", dag.m());
+        }
+    }
+
+    /// Components without arcs label only themselves, on both sides.
+    #[test]
+    fn label_build_equals_the_reference_on_isolated_components() {
+        let dag = dag_of(&[], 5_000);
+        let got = LabelLayer::build(&dag, usize::MAX);
+        assert_eq!(got, build_reference(&dag, usize::MAX));
+        assert_eq!(got.map(|l| l.entries()), Some(2 * 5_000));
+    }
+
+    /// 25 hubs, each made heavy by 30 private children, all feed one sink
+    /// and are fed by one source: the sink's `label_in` and the source's
+    /// `label_out` collect an entry per hub, 26 with their own, so both
+    /// lists run from the inline record through three pool blocks.
+    #[test]
+    fn label_build_equals_the_reference_across_overflow_blocks() {
+        let (hubs, leaves) = (25 as V, 30 as V);
+        let (sink, source) = (hubs * (leaves + 1), hubs * (leaves + 1) + 1);
+        let mut arcs = Vec::new();
+        for h in 0..hubs {
+            let hub = h * (leaves + 1);
+            arcs.extend((1..=leaves).map(|l| (hub, hub + l)));
+            arcs.extend([(hub, sink), (source, hub)]);
+        }
+        let dag = dag_of(&arcs, source as usize + 1);
+        let got = LabelLayer::build(&dag, usize::MAX).unwrap();
+        assert_eq!(Some(&got), build_reference(&dag, usize::MAX).as_ref());
+        let len = |offsets: &[u32], c: V| (offsets[c as usize + 1] - offsets[c as usize]) as usize;
+        assert!(len(&got.in_offsets, sink) >= 20, "the sink's label_in stays short");
+        assert!(len(&got.out_offsets, source) >= 20, "the source's label_out stays short");
+    }
+
+    /// Around the exact footprint, and on a coarse sweep below it, both
+    /// builds refuse the same budgets and accept the same ones.
+    #[test]
+    fn label_build_refuses_the_same_budgets_as_the_reference() {
+        let mut rng = SplitMix64::new(0xb0d9e7);
+        for i in 0..12usize {
+            let k = [0, 1, 40, 200, 700, 1_500][i % 6];
+            let dag = shuffled_dag(k, k * (1 + i % 4), &mut rng);
+            let exact = build_reference(&dag, usize::MAX).map_or(0, |l| l.bytes());
+            assert!(LabelLayer::build(&dag, exact).is_some(), "dag {i}: the exact footprint fits");
+            if exact > 0 {
+                assert!(
+                    LabelLayer::build(&dag, exact - 1).is_none(),
+                    "dag {i}: one byte short fits"
+                );
+            }
+            let near = exact.saturating_sub(64)..exact + 64;
+            let coarse = (0..exact).step_by(exact / 50 + 1);
+            for budget in near.chain(coarse) {
+                let want = build_reference(&dag, budget);
+                assert_eq!(LabelLayer::build(&dag, budget), want, "dag {i}: budget {budget}");
+            }
         }
     }
 

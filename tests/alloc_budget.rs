@@ -18,10 +18,12 @@
 //! (bitmaps), so the run allocates no pair table sized for it.
 //!
 //! A third test holds the **index build after the kernel** to the same
-//! kind of budget: component ids, condensation, arc-support counts, levels
-//! and labels together allocate a small multiple of `(k + m_dag) · 4`
-//! bytes, and nothing in there is one allocation the size of a hash table
-//! over the DAG's arcs.
+//! kind of budget, on an RMAT graph and on a lattice: component ids,
+//! condensation, arc-support counts, levels and labels together allocate a
+//! small multiple of `(k + m_dag) · 4` bytes in a bounded number of
+//! allocation calls, whatever the number of components (nothing allocates
+//! per component), and nothing in there is one allocation the size of a
+//! hash table over the DAG's arcs.
 //!
 //! A fourth holds **`Csr::transpose`**, which builds every in-CSR, to its
 //! output plus one `B × n` counter matrix, all of it allocated by the
@@ -41,6 +43,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 static BYTES: AtomicU64 = AtomicU64::new(0);
+/// Allocation calls (`alloc` and `realloc`), whatever their size.
+static CALLS: AtomicU64 = AtomicU64::new(0);
 /// Allocations of at least `WIDE_BYTES` bytes, a size each test picks.
 static WIDE: AtomicU64 = AtomicU64::new(0);
 static WIDE_BYTES: AtomicUsize = AtomicUsize::new(usize::MAX);
@@ -58,6 +62,7 @@ struct Counting;
 
 fn count(size: usize) {
     BYTES.fetch_add(size as u64, Ordering::Relaxed);
+    CALLS.fetch_add(1, Ordering::Relaxed);
     if size >= WIDE_BYTES.load(Ordering::Relaxed) {
         WIDE.fetch_add(1, Ordering::Relaxed);
         if !MEASURED.try_with(Cell::get).unwrap_or(false) {
@@ -105,24 +110,31 @@ const BUDGET: u64 = 9;
 /// measured (84 while the permutation was sorted over every vertex), 669
 /// when a multi-reach batch peeled the giant SCC.
 const SOCIAL_BUDGET: u64 = 96;
+/// Allocation calls the index build may make after the kernel, on a DAG
+/// of any size: about 190 measured on each of the two graphs below,
+/// against 120 918 and 79 490 while the label build kept a vector per
+/// component and side.
+const AFTER_KERNEL_CALLS: u64 = 1_024;
 /// Bytes `Csr::transpose` may allocate beyond its output and its counter
 /// matrix at width 2: 1.3 KiB measured, nearly all of it the spawn of one
 /// worker thread for each of its five parallel regions.
 const TRANSPOSE_SMALL_CHANGE: u64 = 2 << 10;
 
-/// (bytes allocated, allocations of at least `WIDE_BYTES`) at width 2
-/// while `f` runs, and what it returned.
-fn allocated_by<T: Send>(f: impl FnOnce() -> T + Send) -> (u64, u64, T) {
-    let (bytes, wide) = (BYTES.load(Ordering::Relaxed), WIDE.load(Ordering::Relaxed));
+/// (bytes allocated, allocations of at least `WIDE_BYTES`, allocation
+/// calls) at width 2 while `f` runs, and what it returned.
+fn allocated_by<T: Send>(f: impl FnOnce() -> T + Send) -> (u64, u64, u64, T) {
+    let load = || [&BYTES, &WIDE, &CALLS].map(|counter| counter.load(Ordering::Relaxed));
+    let before = load();
     MEASURED.with(|m| m.set(true));
     let out = with_threads(2, f);
     MEASURED.with(|m| m.set(false));
-    (BYTES.load(Ordering::Relaxed) - bytes, WIDE.load(Ordering::Relaxed) - wide, out)
+    let [bytes, wide, calls] = load();
+    (bytes - before[0], wide - before[1], calls - before[2], out)
 }
 
 /// (bytes allocated, allocations ≥ 1 MiB, searches made) of one run.
 fn measure(g: &DiGraph, cfg: &SccConfig) -> (u64, u64, usize) {
-    let (bytes, large, (result, stats)) = allocated_by(|| parallel_scc_with_stats(g, cfg));
+    let (bytes, large, _, (result, stats)) = allocated_by(|| parallel_scc_with_stats(g, cfg));
     assert!(result.num_sccs > 0);
     (bytes, large, stats.searches.len())
 }
@@ -190,7 +202,7 @@ fn a_giant_scc_is_peeled_without_a_pair_table() {
         "perm[0] = {first} survives trimming: pick a seed where it does not"
     );
 
-    let (bytes, large, (result, stats)) = allocated_by(|| parallel_scc_with_stats(&g, &cfg));
+    let (bytes, large, _, (result, stats)) = allocated_by(|| parallel_scc_with_stats(&g, &cfg));
     eprintln!(
         "n={n} m={} trimmed={} giant={}: {bytes} B = {:.1} × n, {large} large",
         g.m(),
@@ -218,7 +230,7 @@ fn transpose_allocates_its_output_and_one_counter_matrix() {
     {
         let (n, m) = (g.n() as u64, g.m() as u64);
         let elsewhere = WIDE_ELSEWHERE.load(Ordering::Relaxed);
-        let (bytes, wide, t) = allocated_by(|| g.out_csr().transpose());
+        let (bytes, wide, _, t) = allocated_by(|| g.out_csr().transpose());
         let elsewhere = WIDE_ELSEWHERE.load(Ordering::Relaxed) - elsewhere;
         assert!(&t == g.in_csr(), "{name}: the transpose changed");
         // Output, the 2 × n matrix of width 2, and the small change of five
@@ -235,37 +247,52 @@ fn transpose_allocates_its_output_and_one_counter_matrix() {
 #[cfg_attr(debug_assertions, ignore = "sized for release builds; CI runs it with --release")]
 fn index_build_after_the_kernel_allocates_in_proportion_to_the_dag() {
     let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-    let g = rmat_digraph(16, 6 << 16, 1);
     let cfg = IndexConfig::default();
-    let shape = ReachIndex::build_with_config(&g, &cfg).stats();
-    let (k, m_dag) = (shape.num_components, shape.dag_arcs);
-    assert!(k >= 4096 && m_dag >= k, "expected a label-tier DAG, got k={k} m_dag={m_dag}");
+    for (name, g) in
+        [("rmat-16", rmat_digraph(16, 6 << 16, 1)), ("lattice 300x300", lattice_sqr(300, 300, 1))]
+    {
+        let shape = ReachIndex::build_with_config(&g, &cfg).stats();
+        let (k, m_dag) = (shape.num_components, shape.dag_arcs);
+        assert!(
+            k >= 4096 && m_dag >= k,
+            "{name}: expected a label-tier DAG, got k={k} m_dag={m_dag}"
+        );
 
-    // A hash table over the DAG's arcs keyed by (u32, u32) with a u64 count
-    // is one allocation of more than 17 · m_dag bytes; no array the build
-    // needs after the kernel is that wide.
-    WIDE_BYTES.store(16 * m_dag, Ordering::Relaxed);
-    let (kernel_bytes, kernel_wide, _) = allocated_by(|| parallel_scc(&g, &cfg.scc));
-    let (build_bytes, build_wide, _) = allocated_by(|| ReachIndex::build_with_config(&g, &cfg));
+        // A hash table over the DAG's arcs keyed by (u32, u32) with a u64
+        // count is one allocation of more than 17 · m_dag bytes; no array
+        // the build needs after the kernel is that wide.
+        WIDE_BYTES.store(16 * m_dag, Ordering::Relaxed);
+        let (kernel_bytes, kernel_wide, kernel_calls, _) =
+            allocated_by(|| parallel_scc(&g, &cfg.scc));
+        let (build_bytes, build_wide, build_calls, _) =
+            allocated_by(|| ReachIndex::build_with_config(&g, &cfg));
 
-    let after = build_bytes.saturating_sub(kernel_bytes);
-    let unit = ((k + m_dag) * 4) as u64;
-    eprintln!(
-        "n={} m={} k={k} m_dag={m_dag}: kernel {kernel_bytes} B, build {build_bytes} B, \
-         after the kernel {after} B = {:.1} × (k + m_dag)·4; wide allocations {kernel_wide} → {build_wide}",
-        g.n(),
-        g.m(),
-        after as f64 / unit as f64
-    );
-    assert!(
-        after <= 28 * unit,
-        "{after} B allocated after the kernel: more than 28 × (k + m_dag) · 4 = {} B",
-        28 * unit
-    );
-    assert_eq!(
-        build_wide,
-        kernel_wide,
-        "an allocation of at least 16 · m_dag = {} B after the kernel",
-        16 * m_dag
-    );
+        let after = build_bytes.saturating_sub(kernel_bytes);
+        let calls = build_calls.saturating_sub(kernel_calls);
+        let unit = ((k + m_dag) * 4) as u64;
+        eprintln!(
+            "{name}: n={} m={} k={k} m_dag={m_dag}: kernel {kernel_bytes} B, build {build_bytes} B, \
+             after the kernel {after} B = {:.1} × (k + m_dag)·4 in {calls} calls; \
+             wide allocations {kernel_wide} → {build_wide}",
+            g.n(),
+            g.m(),
+            after as f64 / unit as f64
+        );
+        assert!(
+            after <= 28 * unit,
+            "{name}: {after} B allocated after the kernel: more than 28 × (k + m_dag) · 4 = {} B",
+            28 * unit
+        );
+        assert!(
+            calls <= AFTER_KERNEL_CALLS,
+            "{name}: {calls} allocation calls after the kernel, more than {AFTER_KERNEL_CALLS}: \
+             something allocates per component"
+        );
+        assert_eq!(
+            build_wide,
+            kernel_wide,
+            "{name}: an allocation of at least 16 · m_dag = {} B after the kernel",
+            16 * m_dag
+        );
+    }
 }
