@@ -1,4 +1,4 @@
-//! A catalog of named graphs with lazily built, invalidatable indexes —
+//! A catalog of named graphs with lazily built indexes —
 //! the multi-tenant face of the engine: register graphs up front, pay for
 //! an index only when a query actually arrives, drop it when the graph
 //! changes, mutate graphs in place with batched [`Delta`]s, and (since the
@@ -7,7 +7,8 @@
 //!
 //! ## Locking: queries never wait on a rebuild
 //!
-//! Every entry carries **two** locks and a **generation counter**:
+//! Every entry carries **three** locks, taken in the order `update` →
+//! `store` → `state`, and a **generation counter**:
 //!
 //! * `state` — a short-hold mutex over the `(graph, index, generation)`
 //!   triple. Queries take it only to clone `Arc`s; updates take it only to
@@ -15,6 +16,7 @@
 //! * `update` — a long-hold mutex serializing *writers* of the same entry
 //!   (delta application, store attachment, compaction). Queries never
 //!   touch it.
+//! * `store` — a short-hold mutex over the entry's durable store handle.
 //!
 //! Expensive work — the CSR merge, a multi-second index rebuild, the lazy
 //! first-query build — runs **off-lock** against `Arc` clones. A finished
@@ -41,7 +43,7 @@
 use crate::batch::{BatchOptions, MemoCache, QueryBatch};
 use crate::delta::{Delta, DeltaError, DeltaOutcome, DeltaReport};
 use crate::explain::{PlanExplain, QueryExplain};
-use crate::index::{BuildCause, Index, IndexConfig};
+use crate::index::{Index, IndexConfig};
 use crate::planner::{plan_repair_explained, RepairPlan};
 use pscc_graph::{DiGraph, V};
 use pscc_runtime::Background;
@@ -68,50 +70,6 @@ pub struct CompactionPolicy {
 impl Default for CompactionPolicy {
     fn default() -> Self {
         CompactionPolicy { wal_factor: 4, min_wal_bytes: 64 << 10 }
-    }
-}
-
-/// Per-tier tallies of how [`Catalog::apply_delta`] repaired one entry's
-/// index across its lifetime (see [`crate::planner`] for the tiers).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RepairCounts {
-    /// Deltas absorbed: index and memo kept untouched (includes
-    /// metadata-only deletions — support decrements and SCC-split checks
-    /// where the component held together).
-    pub absorbed: u64,
-    /// Deltas repaired by the condensation arc-splice tier.
-    pub dag_spliced: u64,
-    /// Deltas repaired by an SCC recompute on the affected DAG region.
-    pub region_recomputed: u64,
-    /// Deletion deltas repaired by removing dead condensation arcs.
-    pub arc_unspliced: u64,
-    /// Deletion deltas repaired by splitting components in place.
-    pub scc_split: u64,
-    /// Deltas that fell back to a full index rebuild.
-    pub full_rebuilds: u64,
-}
-
-/// Interior-mutable accumulator behind [`RepairCounts`].
-#[derive(Default)]
-struct TierTallies {
-    absorbed: AtomicU64,
-    dag_spliced: AtomicU64,
-    region_recomputed: AtomicU64,
-    arc_unspliced: AtomicU64,
-    scc_split: AtomicU64,
-    full_rebuilds: AtomicU64,
-}
-
-impl TierTallies {
-    fn snapshot(&self) -> RepairCounts {
-        RepairCounts {
-            absorbed: self.absorbed.load(Ordering::Relaxed),
-            dag_spliced: self.dag_spliced.load(Ordering::Relaxed),
-            region_recomputed: self.region_recomputed.load(Ordering::Relaxed),
-            arc_unspliced: self.arc_unspliced.load(Ordering::Relaxed),
-            scc_split: self.scc_split.load(Ordering::Relaxed),
-            full_rebuilds: self.full_rebuilds.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -188,7 +146,7 @@ impl EntryMetrics {
 /// stamps every graph swap.
 struct EntryState {
     graph: Arc<DiGraph>,
-    /// Built on first use; `None` after invalidation. The memo cache lives
+    /// Built on first use; `None` until then. The memo cache lives
     /// (and is invalidated) with the index so verdicts stay warm across
     /// batches — and across absorbed deltas.
     index: Option<(Arc<Index>, Arc<MemoCache>)>,
@@ -217,13 +175,8 @@ struct Entry {
     store: Mutex<Option<Arc<Store>>>,
     /// Off-lock builds discarded because the generation moved mid-build.
     discarded_builds: AtomicU64,
-    /// Per-tier tallies of the entry's delta repairs.
-    repairs: TierTallies,
     /// True while a compaction job for this entry is queued or running.
     compaction_queued: AtomicBool,
-    /// The planner explain of the most recent planned (non-noop,
-    /// non-deferred) delta, surfaced by [`Catalog::last_plan_explain`].
-    last_plan: Mutex<Option<PlanExplain>>,
 }
 
 impl Entry {
@@ -244,9 +197,7 @@ impl Entry {
             update: Mutex::new(()),
             store: Mutex::new(store),
             discarded_builds: AtomicU64::new(0),
-            repairs: TierTallies::default(),
             compaction_queued: AtomicBool::new(false),
-            last_plan: Mutex::new(None),
         })
     }
 
@@ -332,18 +283,6 @@ impl Catalog {
         self.entries.write().expect("catalog lock").remove(name).is_some()
     }
 
-    /// Drops the cached index of `name`, forcing a rebuild on next use;
-    /// returns whether the graph exists.
-    pub fn invalidate(&self, name: &str) -> bool {
-        match self.entry(name) {
-            Some(e) => {
-                e.state.lock().expect("entry lock").index.take();
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Registered graph names, sorted.
     pub fn names(&self) -> Vec<String> {
         let mut names: Vec<String> =
@@ -376,14 +315,6 @@ impl Catalog {
     /// the new graph — the delta wins, never the stale index).
     pub fn discarded_builds(&self, name: &str) -> Option<u64> {
         self.entry(name).map(|e| e.discarded_builds.load(Ordering::Relaxed))
-    }
-
-    /// Per-tier tallies of how deltas applied to `name` repaired its
-    /// index (absorbed / dag-spliced / region-recomputed / full-rebuild)
-    /// since registration. No-ops and pre-index deferred deltas are not
-    /// counted — they repair nothing.
-    pub fn repair_counts(&self, name: &str) -> Option<RepairCounts> {
-        self.entry(name).map(|e| e.repairs.snapshot())
     }
 
     /// The index for `name`, building it on first use.
@@ -437,13 +368,14 @@ impl Catalog {
     ///   every component holds together);
     /// * deltas mixing structural deletions with insertions, and repairs
     ///   past the planner's [`crate::planner::RepairBudget`], rebuild the
-    ///   index from scratch ([`DeltaOutcome::Rebuilt`], stamped
-    ///   [`BuildCause::DeltaRebuild`][crate::index::BuildCause]);
+    ///   index from scratch ([`DeltaOutcome::Rebuilt`]);
     /// * if no index was built yet the graph is swapped and indexing stays
     ///   lazy ([`DeltaOutcome::Deferred`]).
     ///
-    /// Which tier ran is tallied per entry ([`Catalog::repair_counts`]).
-    /// Returns the path taken plus effective edge counts, or a
+    /// Which tier ran is reported by the returned [`DeltaReport`], the
+    /// `outcome` attribute of the `apply_delta` span and the flight
+    /// journal's `apply_delta` event (with the plan explain); nothing else
+    /// keeps it. Returns the path taken plus effective edge counts, or a
     /// [`DeltaError`] (nothing modified) for an unknown graph, an
     /// out-of-range endpoint, or a failed write-ahead append.
     ///
@@ -483,14 +415,6 @@ impl Catalog {
         let (index, memo) = Self::entry_index_and_memo(&entry);
         let batch = QueryBatch::with_shared_memo(&index, memo, entry.batch.grain);
         Some(batch.explain(queries))
-    }
-
-    /// The planner's [`PlanExplain`] for the most recent delta applied to
-    /// `name` that actually reached the planner (noops and pre-index
-    /// deferred deltas plan nothing). `None` for an unknown graph or
-    /// before the first planned delta.
-    pub fn last_plan_explain(&self, name: &str) -> Option<PlanExplain> {
-        self.entry(name)?.last_plan.lock().expect("plan explain lock").clone()
     }
 
     /// A reusable submission handle for `name`, for front ends that
@@ -562,9 +486,9 @@ impl Catalog {
         // which is exactly what the tier arguments are stated over.
         let execute_span = pscc_telemetry::span("execute");
         let merged = Arc::new(graph.with_delta(&ins, &del));
-        enum Exec {
+        enum Exec<'a> {
             Deferred,
-            Keep,
+            Keep(&'a Arc<Index>),
             Install(Arc<Index>, Arc<MemoCache>, DeltaOutcome),
         }
         let install = |index: Index, outcome: DeltaOutcome| {
@@ -578,7 +502,7 @@ impl Catalog {
                 let (plan, ex) = plan_repair_explained(index, &ins, &del, &entry.config.repair);
                 plan_ex = Some(ex);
                 match plan {
-                    RepairPlan::Absorb => Exec::Keep,
+                    RepairPlan::Absorb => Exec::Keep(index),
                     RepairPlan::DagSplice { arcs } => install(
                         index.splice_dag_arcs(&arcs, &ins, &del, &entry.config),
                         DeltaOutcome::DagSpliced,
@@ -597,14 +521,13 @@ impl Catalog {
                             // Every checked component held together and no
                             // arc died: reachability is unchanged — keep the
                             // index like any other metadata-only delta.
-                            None => Exec::Keep,
+                            None => Exec::Keep(index),
                         }
                     }
                     RepairPlan::FullRebuild { .. } => {
                         let _in_flight = entry.metrics.rebuild_in_flight.inc_scoped();
                         let timer = pscc_telemetry::enabled().then(pscc_telemetry::Timer::start);
-                        let mut index = Index::build_with_config(&merged, &entry.config);
-                        index.set_built_by(BuildCause::DeltaRebuild);
+                        let index = Index::build_with_config(&merged, &entry.config);
                         if let Some(t) = timer {
                             entry.metrics.rebuild_nanos.record(t.elapsed());
                         }
@@ -619,7 +542,8 @@ impl Catalog {
         // Re-lock only to swap. The graph is still the one we read (swaps
         // are update-lock-serialized), but the *index* slot may have moved:
         // a lazy first-query build can have installed an index for the old
-        // graph, or `invalidate` can have cleared it.
+        // graph. Only writers, which the update lock excludes, replace an
+        // installed index.
         let swap_span = pscc_telemetry::span("swap");
         let mut st = entry.state.lock().expect("entry lock");
         debug_assert!(Arc::ptr_eq(&st.graph, &graph), "graph swapped without the update lock");
@@ -629,17 +553,14 @@ impl Catalog {
                 st.index = Some((index, memo));
                 outcome
             }
-            Exec::Keep => match &st.index {
-                // Whichever index is installed describes the same (old)
-                // graph, so the absorbability argument holds for it too —
-                // and its support table takes this delta's increments
-                // and decrements.
-                Some((index, _)) => {
-                    index.note_absorbed(&ins, &del);
-                    DeltaOutcome::Absorbed
-                }
-                None => DeltaOutcome::Deferred, // invalidated mid-flight
-            },
+            Exec::Keep(index) => {
+                // Only a writer replaces an installed index, so the captured
+                // one is still installed; its support table takes this
+                // delta's increments and decrements.
+                debug_assert!(st.index.as_ref().is_some_and(|(kept, _)| Arc::ptr_eq(kept, index)));
+                index.note_absorbed(&ins, &del);
+                DeltaOutcome::Absorbed
+            }
             Exec::Deferred => {
                 // An index installed mid-flight describes the pre-delta
                 // graph; keeping it past the swap would serve stale
@@ -675,27 +596,11 @@ impl Catalog {
             }
             recorder::record(ev);
         }
-        if let Some(ex) = plan_ex {
-            *entry.last_plan.lock().expect("plan explain lock") = Some(ex);
-        }
         root.set_attr("outcome", outcome_name(outcome));
         entry.metrics.deltas.inc();
         if let Some(t) = delta_timer {
             entry.metrics.delta_nanos.record(t.elapsed());
         }
-        match outcome {
-            DeltaOutcome::Absorbed => entry.repairs.absorbed.fetch_add(1, Ordering::Relaxed),
-            DeltaOutcome::DagSpliced => entry.repairs.dag_spliced.fetch_add(1, Ordering::Relaxed),
-            DeltaOutcome::RegionRecomputed => {
-                entry.repairs.region_recomputed.fetch_add(1, Ordering::Relaxed)
-            }
-            DeltaOutcome::ArcUnspliced => {
-                entry.repairs.arc_unspliced.fetch_add(1, Ordering::Relaxed)
-            }
-            DeltaOutcome::SccSplit => entry.repairs.scc_split.fetch_add(1, Ordering::Relaxed),
-            DeltaOutcome::Rebuilt => entry.repairs.full_rebuilds.fetch_add(1, Ordering::Relaxed),
-            DeltaOutcome::NoOp | DeltaOutcome::Deferred => 0,
-        };
         Ok(DeltaReport { outcome, inserted: ins.len(), deleted: del.len() })
     }
 
@@ -749,17 +654,6 @@ impl Catalog {
         let store = Store::create(data_dir.as_ref().join(encode_name(name)), &graph, meta)?;
         *entry.store.lock().expect("store lock") = Some(Arc::new(store));
         Ok(())
-    }
-
-    /// True if `name` has a durable store attached.
-    pub fn is_durable(&self, name: &str) -> bool {
-        self.entry(name).map(|e| e.store().is_some()).unwrap_or(false)
-    }
-
-    /// `(wal_bytes, snapshot_bytes)` of `name`'s store, if durable.
-    pub fn store_bytes(&self, name: &str) -> Option<(u64, u64)> {
-        let store = self.entry(name)?.store()?;
-        Some((store.wal_bytes(), store.snapshot_bytes()))
     }
 
     /// Recovers a catalog from a data directory previously populated via
@@ -1179,17 +1073,15 @@ mod tests {
     }
 
     #[test]
-    fn index_is_lazy_and_invalidatable() {
+    fn index_is_lazy() {
         let cat = Catalog::new();
         cat.insert("g", gnm_digraph(50, 120, 1));
         assert!(!cat.is_indexed("g"));
-        let _ = cat.index("g").unwrap();
-        assert!(cat.is_indexed("g"));
-        assert!(cat.invalidate("g"));
+        assert_eq!(cat.graph("g").unwrap().n(), 50, "reading the graph builds nothing");
         assert!(!cat.is_indexed("g"));
-        // Still answers after invalidation (rebuilds).
         assert_eq!(cat.reaches("g", 0, 0), Some(true));
-        assert!(!cat.invalidate("missing"));
+        assert!(cat.is_indexed("g"));
+        assert!(!cat.is_indexed("missing"));
     }
 
     #[test]
@@ -1294,17 +1186,17 @@ mod tests {
         // 0 <-> 1 (one SCC) -> 2 -> 3.
         let cat = Catalog::new();
         cat.insert("g", DiGraph::from_edges(4, &[(0, 1), (1, 0), (1, 2), (2, 3)]));
-        let before = cat.index("g").unwrap();
-        assert_eq!(before.stats().absorbed_deltas, 0);
+        let (before, memo_before) = cat.index_and_memo("g").unwrap();
         // In-SCC edge + already-reachable pair: both absorbable.
         let mut d = Delta::new();
         d.insert(0, 0).insert(0, 3);
         let report = cat.apply_delta("g", &d).unwrap();
         assert_eq!(report.outcome, DeltaOutcome::Absorbed);
         assert_eq!(report.inserted, 2);
-        let after = cat.index("g").unwrap();
+        let (after, memo_after) = cat.index_and_memo("g").unwrap();
         assert!(Arc::ptr_eq(&before, &after), "absorbed delta must keep the index");
-        assert_eq!(after.stats().absorbed_deltas, 1);
+        assert!(Arc::ptr_eq(&memo_before, &memo_after), "absorbed delta must keep the memo");
+        assert_eq!(cat.generation("g"), Some(1));
         // The graph itself did change.
         assert_eq!(cat.graph("g").unwrap().m(), 6);
         assert_eq!(cat.reaches("g", 0, 3), Some(true));
@@ -1315,7 +1207,6 @@ mod tests {
         let cat = Catalog::new();
         cat.insert("g", path_digraph(5));
         let before = cat.index("g").unwrap();
-        assert_eq!(before.stats().built_by, BuildCause::Fresh);
         assert_eq!(before.num_components(), 5);
         // 4 -> 0 closes the path into one big cycle: components merge —
         // repaired by the region tier, not a rebuild.
@@ -1325,15 +1216,9 @@ mod tests {
         assert_eq!(report.outcome, DeltaOutcome::RegionRecomputed);
         let after = cat.index("g").unwrap();
         assert!(!Arc::ptr_eq(&before, &after), "merging delta must patch a new index");
-        assert_eq!(after.stats().built_by, BuildCause::RegionRecompute);
-        assert_eq!(after.stats().region_recomputes, 1);
         assert_eq!(after.num_components(), 1);
         assert_eq!(cat.reaches("g", 3, 1), Some(true));
         assert_eq!(cat.generation("g"), Some(1));
-        assert_eq!(
-            cat.repair_counts("g"),
-            Some(RepairCounts { region_recomputed: 1, ..RepairCounts::default() })
-        );
     }
 
     #[test]
@@ -1348,19 +1233,15 @@ mod tests {
         };
         let cat = Catalog::new();
         cat.insert_with_config("g", path_digraph(50), cfg, BatchOptions::default());
-        let _ = cat.index("g").unwrap();
+        let before = cat.index("g").unwrap();
         // Closing the whole 50-component path is past the 10% budget.
         let mut d = Delta::new();
         d.insert(49, 0);
         let report = cat.apply_delta("g", &d).unwrap();
         assert_eq!(report.outcome, DeltaOutcome::Rebuilt);
         let after = cat.index("g").unwrap();
-        assert_eq!(after.stats().built_by, BuildCause::DeltaRebuild);
+        assert!(!Arc::ptr_eq(&before, &after), "a rebuild installs a new index");
         assert_eq!(after.num_components(), 1);
-        assert_eq!(
-            cat.repair_counts("g"),
-            Some(RepairCounts { full_rebuilds: 1, ..RepairCounts::default() })
-        );
     }
 
     #[test]
@@ -1377,18 +1258,12 @@ mod tests {
         assert_eq!(report.outcome, DeltaOutcome::DagSpliced);
         let after = cat.index("g").unwrap();
         assert!(!Arc::ptr_eq(&before, &after), "splice patches a new index");
-        assert_eq!(after.stats().built_by, BuildCause::DagSplice);
-        assert_eq!(after.stats().dag_splices, 1);
         assert_eq!(after.num_components(), 6, "no components may merge in a splice");
         assert_eq!(cat.reaches("g", 0, 5), Some(true));
-        assert_eq!(
-            cat.repair_counts("g"),
-            Some(RepairCounts { dag_spliced: 1, ..RepairCounts::default() })
-        );
     }
 
     #[test]
-    fn repair_counts_accumulate_across_tiers() {
+    fn deltas_walk_every_repair_tier() {
         let cat = Catalog::new();
         // {0,1} cycle -> 2 -> 3, plus isolated 4.
         cat.insert("g", DiGraph::from_edges(5, &[(0, 1), (1, 0), (1, 2), (2, 3)]));
@@ -1411,23 +1286,11 @@ mod tests {
         let mut mixed = Delta::new();
         mixed.delete(1, 2).insert(4, 0); // structural deletion + insertion
         assert_eq!(cat.apply_delta("g", &mixed).unwrap().outcome, DeltaOutcome::Rebuilt);
-        assert_eq!(
-            cat.repair_counts("g"),
-            Some(RepairCounts {
-                absorbed: 1,
-                dag_spliced: 1,
-                region_recomputed: 1,
-                arc_unspliced: 1,
-                scc_split: 1,
-                full_rebuilds: 1
-            })
-        );
         // Final edge set: (0,1), (1,0), (2,3), (0,3), (4,0).
         assert_eq!(cat.reaches("g", 4, 3), Some(true));
         assert_eq!(cat.reaches("g", 1, 3), Some(true), "via the absorbed (0, 3)");
         assert_eq!(cat.reaches("g", 0, 4), Some(false));
         assert_eq!(cat.reaches("g", 1, 2), Some(false));
-        assert_eq!(cat.repair_counts("missing"), None);
     }
 
     #[test]
@@ -1466,10 +1329,6 @@ mod tests {
         d2.delete(0, 3);
         assert_eq!(cat.apply_delta("g", &d2).unwrap().outcome, DeltaOutcome::ArcUnspliced);
         assert_eq!(cat.reaches("g", 0, 3), Some(false));
-        assert_eq!(
-            cat.repair_counts("g"),
-            Some(RepairCounts { absorbed: 1, arc_unspliced: 1, ..RepairCounts::default() })
-        );
     }
 
     #[test]
@@ -1533,12 +1392,12 @@ mod tests {
         };
         let cat = Catalog::new();
         cat.insert_with_config("g", cycle_digraph(100), cfg, BatchOptions::default());
-        let _ = cat.index("g").unwrap();
+        let before = cat.index("g").unwrap();
         let mut d = Delta::new();
         d.delete(40, 41);
         let report = cat.apply_delta("g", &d).unwrap();
         assert_eq!(report.outcome, DeltaOutcome::Rebuilt);
-        assert_eq!(cat.index("g").unwrap().stats().built_by, BuildCause::DeltaRebuild);
+        assert!(!Arc::ptr_eq(&before, &cat.index("g").unwrap()), "a rebuild installs a new index");
         assert_eq!(cat.reaches("g", 39, 42), Some(false));
         assert_eq!(cat.reaches("g", 41, 40), Some(true), "the long way around survives");
     }
@@ -1567,7 +1426,7 @@ mod tests {
     }
 
     #[test]
-    fn explained_batch_and_last_plan_are_exposed() {
+    fn explained_batch_matches_the_plain_batch() {
         let cat = Catalog::new();
         cat.insert("g", path_digraph(5));
         let ex = cat.answer_batch_explained("g", &[(0, 4), (4, 0), (2, 2)]).unwrap();
@@ -1577,15 +1436,7 @@ mod tests {
         // Verdicts must match the plain batch path exactly.
         let plain = cat.answer_batch("g", &[(0, 4), (4, 0), (2, 2)]).unwrap();
         assert_eq!(ex.iter().map(|e| e.reaches).collect::<Vec<_>>(), plain);
-        assert!(cat.last_plan_explain("g").is_none(), "no delta planned yet");
-        let mut d = Delta::new();
-        d.insert(4, 0); // closes the path into one cycle
-        cat.apply_delta("g", &d).unwrap();
-        let plan = cat.last_plan_explain("g").unwrap();
-        assert_eq!(plan.chosen, "region_recompute");
-        assert!(plan.rejected.iter().any(|&(t, _)| t == "dag_splice"));
         assert!(cat.answer_batch_explained("missing", &[]).is_none());
-        assert!(cat.last_plan_explain("missing").is_none());
     }
 
     #[test]
@@ -1608,7 +1459,6 @@ mod tests {
         let cat = Catalog::new();
         cat.insert("g", path_digraph(6));
         cat.persist_to("g", &dir).unwrap();
-        assert!(cat.is_durable("g"));
         let mut d = Delta::new();
         d.insert(5, 0); // close the cycle (durable, write-ahead)
         cat.apply_delta("g", &d).unwrap();
@@ -1619,13 +1469,21 @@ mod tests {
 
         let back = Catalog::open(&dir).unwrap();
         assert_eq!(back.names(), vec!["g".to_string()]);
-        assert!(back.is_durable("g"));
         assert_eq!(back.generation("g"), Some(2));
         // 5 -> 0 present, 2 -> 3 gone: 3 wraps around to 0, but 1 dead-ends at 2.
         assert_eq!(back.reaches("g", 3, 0), Some(true));
         assert_eq!(back.reaches("g", 1, 3), Some(false));
         let expected = path_digraph(6).with_delta(&[(5, 0)], &[(2, 3)]);
         assert_eq!(back.graph("g").unwrap().out_csr(), expected.out_csr());
+        // The recovered entry is durable too: its next delta survives
+        // another reopen.
+        let mut d3 = Delta::new();
+        d3.insert(1, 3);
+        back.apply_delta("g", &d3).unwrap();
+        drop(back);
+        let again = Catalog::open(&dir).unwrap();
+        assert_eq!(again.generation("g"), Some(3));
+        assert_eq!(again.reaches("g", 1, 3), Some(true));
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -1680,8 +1538,8 @@ mod tests {
             cat.apply_delta("g", &d).unwrap();
         }
         cat.flush_maintenance();
-        let (wal_bytes, _) = cat.store_bytes("g").unwrap();
-        assert_eq!(wal_bytes, 8, "compacted log holds only its header");
+        let wal = dir.join(encode_name("g")).join("wal.log");
+        assert_eq!(std::fs::metadata(wal).unwrap().len(), 8, "compacted log holds only its header");
         drop(cat);
         // The compacted store still recovers the full state.
         let back = Catalog::open(&dir).unwrap();

@@ -5,7 +5,7 @@
 //! list, interval labels with a pruned-DFS fallback) and repair an index
 //! six different ways
 //! (absorb through full rebuild). The serving API only returns booleans
-//! and tallies — fine for throughput, useless for "why was *this* query
+//! and delta outcomes — fine for throughput, useless for "why was *this* query
 //! slow" or "why did *that* delta fall to a full rebuild". This module
 //! carries the provenance:
 //!
@@ -17,10 +17,9 @@
 //!   (deletion classification, support-table state, contracted arc
 //!   counts, region size, budget) and every cheaper tier it rejected,
 //!   with the reason. Produced by
-//!   [`plan_repair_explained`](crate::planner::plan_repair_explained),
-//!   surfaced via
-//!   [`Catalog::last_plan_explain`](crate::Catalog::last_plan_explain),
-//!   and recorded to the flight-recorder journal.
+//!   [`plan_repair_explained`](crate::planner::plan_repair_explained)
+//!   and journaled with its delta by [`Catalog::apply_delta`](crate::Catalog::apply_delta)
+//!   (the flight recorder's `apply_delta` event).
 
 /// The decision path that produced one query verdict, ordered roughly
 /// cheapest-first.
@@ -166,31 +165,5 @@ impl PlanExplain {
             ("max_region", self.max_region.to_string()),
             ("rejected", rejected),
         ]
-    }
-
-    /// A multi-line human-readable report, for the server example and
-    /// doctor output.
-    pub fn describe(&self) -> String {
-        let mut out = format!(
-            "plan: {} ({} ins, {} del)\n  inputs: deletion_class={} \
-             dead_arcs={} split_comps={} split_vertices={} new_arcs={} cyclic_arcs={} \
-             region_size={}\n  budget: max_planned_arcs={} max_region={}",
-            self.chosen,
-            self.insertions,
-            self.deletions,
-            self.deletion_class,
-            self.dead_arcs,
-            self.split_comps,
-            self.split_vertices,
-            self.new_arcs,
-            self.cyclic_arcs,
-            self.region_size,
-            self.max_planned_arcs,
-            self.max_region,
-        );
-        for (tier, why) in &self.rejected {
-            out.push_str(&format!("\n  rejected {tier}: {why}"));
-        }
-        out
     }
 }

@@ -38,11 +38,13 @@
 //! `&self`, so batches can share it across threads freely. Deltas are
 //! therefore applied by *producing a patched index* next to the live one:
 //! besides the full [`Index::build`], the repair planner
-//! ([`crate::planner`]) drives two incremental constructors —
+//! ([`crate::planner`]) drives four incremental constructors —
 //! `Index::splice_dag_arcs` (new condensation arcs, no component
-//! changes) and `Index::recompute_region` (component merges confined to
-//! a DAG region) — each of which reuses every layer a delta provably
-//! cannot have touched.
+//! changes), `Index::recompute_region` (component merges confined to a
+//! DAG region), `Index::unsplice_dag_arcs` (arcs whose last support a
+//! deletion took) and `Index::split_sccs` (components an intra-SCC
+//! deletion may split) — each of which reuses every layer a delta
+//! provably cannot have touched.
 
 use crate::explain::QueryTier;
 use crate::layers::{
@@ -51,7 +53,6 @@ use crate::layers::{
 use pscc_apps::{condense_scc, topological_order, Condensation};
 use pscc_core::{dense_components, parallel_scc, parallel_scc_induced, SccConfig};
 use pscc_graph::{csr_from_weighted_arcs, merge_csr, Csr, DiGraph, V};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -115,39 +116,12 @@ impl IndexConfig {
     }
 }
 
-/// How an [`Index`] came to be — the "which repair tier ran" record of
-/// the delta-application machinery in [`crate::catalog::Catalog`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum BuildCause {
-    /// Built for a freshly registered graph (or on first query).
-    #[default]
-    Fresh,
-    /// Patched from a live index by splicing new condensation arcs
-    /// (levels and summary repaired for affected ancestors only).
-    DagSplice,
-    /// Patched from a live index by re-running SCC on the affected DAG
-    /// region and contracting the old condensation through the merge map.
-    RegionRecompute,
-    /// Patched from a live index by removing condensation arcs whose last
-    /// direct-edge support a deletion took away (levels relaxed, summary
-    /// narrowed for affected ancestors only).
-    ArcUnsplice,
-    /// Patched from a live index by re-running SCC on the members of the
-    /// components an intra-SCC deletion may have split, splicing the
-    /// resulting sub-components back into the DAG.
-    SccSplit,
-    /// Rebuilt from scratch because an applied [`crate::delta::Delta`]
-    /// was priced out of every localized tier (a mixed
-    /// structural-deletion + insertion delta, or a repair past the
-    /// planner's budget).
-    DeltaRebuild,
-}
-
-/// Build-cost breakdown and shape of one [`Index`] (the "index-build
-/// breakdown" of the example server's report).
+/// Build-cost breakdown and shape of one [`Index`] (the benchmark's
+/// `engine.index.*` figures).
 #[derive(Clone, Debug, Default)]
 pub struct IndexStats {
-    /// Seconds in the parallel SCC run (of the lineage's last full build).
+    /// Seconds in the parallel SCC run (of the last full build this index
+    /// was patched from, or its own).
     pub scc_seconds: f64,
     /// Seconds deriving component ids and contracting into the
     /// condensation DAG and its arc-support counts (last full build).
@@ -168,62 +142,20 @@ pub struct IndexStats {
     /// Hub entries across both label sides (label tier only, else 0);
     /// `summary_bytes` is the byte form of the same footprint.
     pub label_entries: usize,
-    /// How this index came to be (fresh build, incremental repair tier,
-    /// or delta-forced rebuild).
-    pub built_by: BuildCause,
-    /// Deltas this index lineage absorbed *without* any repair: every
-    /// edge stayed inside one SCC or joined an already-reachable
-    /// component pair, so all query answers were provably unchanged.
-    pub absorbed_deltas: u64,
-    /// Deltas repaired by splicing condensation arcs
-    /// ([`BuildCause::DagSplice`]) in this index's lineage.
-    pub dag_splices: u64,
-    /// Deltas repaired by a region SCC recompute
-    /// ([`BuildCause::RegionRecompute`]) in this index's lineage.
-    pub region_recomputes: u64,
-    /// Deltas repaired by removing dead condensation arcs
-    /// ([`BuildCause::ArcUnsplice`]) in this index's lineage.
-    pub arc_unsplices: u64,
-    /// Deltas repaired by an SCC-split check over the affected components
-    /// ([`BuildCause::SccSplit`]) in this index's lineage.
-    pub scc_splits: u64,
     /// Distinct cross-component pairs in the arc-support table — the
     /// certificate behind the deletion tiers.
     pub supported_pairs: usize,
     /// Supported pairs currently absent from the DAG: insertions absorbed
     /// without a repair, to be spliced in by the next structural removal.
     pub latent_arcs: usize,
-    /// Total seconds spent inside incremental repairs across the lineage
-    /// (splices + region recomputes + unsplices + splits; full rebuilds
-    /// reset the lineage).
-    pub repair_seconds: f64,
-}
-
-impl IndexStats {
-    /// Total seconds spent building this index (SCC + condensation +
-    /// levels + summary) — the figure the bench runner and the example
-    /// server report.
-    pub fn total_build_seconds(&self) -> f64 {
-        self.scc_seconds + self.condense_seconds + self.levels_seconds + self.summary_seconds
-    }
-
-    /// Mean hub-array length of the label tier (`label_entries` spread
-    /// over the `2k` per-component arrays); 0 for the other tiers.
-    pub fn mean_label_len(&self) -> f64 {
-        if self.label_entries == 0 || self.num_components == 0 {
-            0.0
-        } else {
-            self.label_entries as f64 / (2.0 * self.num_components as f64)
-        }
-    }
 }
 
 /// An immutable reachability index over one digraph.
 ///
-/// "Immutable" covers everything queries read; two bookkeeping fields are
+/// "Immutable" covers everything queries read; one bookkeeping field is
 /// interior-mutable because kept indexes are shared as `Arc<Index>`: the
-/// absorbed-delta counter and the arc-support table (only the catalog's
-/// update-lock-serialized writers touch the latter — queries never do).
+/// arc-support table (only the catalog's update-lock-serialized writers
+/// touch it — queries never do).
 pub struct Index {
     /// Shared by the repairs that keep every component (splice, unsplice).
     scc: Arc<SccLayer>,
@@ -231,8 +163,6 @@ pub struct Index {
     dag: DiGraph,
     summary: SummaryLayer,
     stats: IndexStats,
-    /// Deltas absorbed without a repair (see [`IndexStats::absorbed_deltas`]).
-    absorbed: AtomicU64,
     /// Direct-edge multiplicities per cross-component pair plus latent
     /// pairs — the deletion planner's certificate, aligned with `dag`.
     support: Mutex<SupportLayer>,
@@ -275,8 +205,8 @@ impl Index {
 
     /// Assembles an index from an SCC layer and its condensation DAG:
     /// computes the topological order once, then levels and the summary.
-    /// `support` must be aligned with `dag`; `base` carries lineage fields
-    /// (SCC/condense timings, repair counters, build cause) from the caller.
+    /// `support` must be aligned with `dag`; `base` carries the SCC and
+    /// condense timings from the caller.
     fn assemble(
         scc: SccLayer,
         dag: DiGraph,
@@ -305,15 +235,7 @@ impl Index {
             ..base
         };
         Self::record_summary_build(&mut stats, &summary, summary_seconds);
-        Index {
-            scc: Arc::new(scc),
-            levels,
-            dag,
-            summary,
-            stats,
-            absorbed: AtomicU64::new(0),
-            support: Mutex::new(support),
-        }
+        Index { scc: Arc::new(scc), levels, dag, summary, stats, support: Mutex::new(support) }
     }
 
     /// Charges one from-scratch summary build to `stats`, whose footprint
@@ -372,7 +294,6 @@ impl Index {
         del: &[(V, V)],
         cfg: &IndexConfig,
     ) -> Index {
-        let t = Instant::now();
         let mut arcs: Vec<(V, V)> = arcs.to_vec();
         pscc_graph::dedup_edges(&mut arcs);
         let dag = self.dag.with_delta(&arcs, &[]);
@@ -396,16 +317,12 @@ impl Index {
         stats.summary_bytes = summary.bytes(dag.n());
         stats.exception_components = summary.exception_count();
         stats.label_entries = summary.label_entries();
-        stats.built_by = BuildCause::DagSplice;
-        stats.dag_splices += 1;
-        stats.repair_seconds += t.elapsed().as_secs_f64();
         Index {
             scc: Arc::clone(&self.scc),
             levels,
             dag,
             summary,
             stats,
-            absorbed: AtomicU64::new(self.absorbed.load(Ordering::Relaxed)),
             support: Mutex::new(support),
         }
     }
@@ -424,7 +341,6 @@ impl Index {
         del: &[(V, V)],
         cfg: &IndexConfig,
     ) -> Index {
-        let t = Instant::now();
         let k_old = self.num_components();
         let mut in_region = vec![false; k_old];
         let mut region_pos = vec![usize::MAX; k_old];
@@ -475,13 +391,7 @@ impl Index {
         Self::patch_support(&mut support, &self.scc.comp_of, &spliced, ins, del);
         let (out, support) = support.contracted(&spliced, &map, k_new);
 
-        let mut base = self.stats.clone();
-        base.built_by = BuildCause::RegionRecompute;
-        base.region_recomputes += 1;
-        let mut index = Self::assemble(scc, DiGraph::from_out_csr(out), support, cfg, base);
-        index.stats.repair_seconds += t.elapsed().as_secs_f64();
-        index.absorbed = AtomicU64::new(self.absorbed.load(Ordering::Relaxed));
-        index
+        Self::assemble(scc, DiGraph::from_out_csr(out), support, cfg, self.stats.clone())
     }
 
     /// Tier-3 repair (deletions): remove condensation arcs whose last
@@ -501,7 +411,6 @@ impl Index {
         del: &[(V, V)],
         cfg: &IndexConfig,
     ) -> Index {
-        let t = Instant::now();
         let mut support = self.support_table().clone();
         Self::patch_support(&mut support, &self.scc.comp_of, self.dag.out_csr(), &[], del);
         // Latent pairs the delta deleted outright left the table above;
@@ -542,16 +451,12 @@ impl Index {
         if relabel {
             Self::record_summary_build(&mut stats, &summary, summary_seconds);
         }
-        stats.built_by = BuildCause::ArcUnsplice;
-        stats.arc_unsplices += 1;
-        stats.repair_seconds += t.elapsed().as_secs_f64();
         Index {
             scc: Arc::clone(&self.scc),
             levels,
             dag,
             summary,
             stats,
-            absorbed: AtomicU64::new(self.absorbed.load(Ordering::Relaxed)),
             support: Mutex::new(support),
         }
     }
@@ -584,7 +489,6 @@ impl Index {
         del: &[(V, V)],
         cfg: &IndexConfig,
     ) -> Option<Index> {
-        let t = Instant::now();
         let k_old = self.num_components();
         let mut split_pos = vec![usize::MAX; k_old];
         for (i, &c) in comps.iter().enumerate() {
@@ -692,19 +596,8 @@ impl Index {
         }
         let (out, arc_counts) = csr_from_weighted_arcs(k_new, arcs);
 
-        let mut base = self.stats.clone();
-        base.built_by = BuildCause::SccSplit;
-        base.scc_splits += 1;
         let support = SupportLayer::new(arc_counts);
-        let mut index = Self::assemble(scc, DiGraph::from_out_csr(out), support, cfg, base);
-        index.stats.repair_seconds += t.elapsed().as_secs_f64();
-        index.absorbed = AtomicU64::new(self.absorbed.load(Ordering::Relaxed));
-        Some(index)
-    }
-
-    /// Stamps the build cause (the catalog marks delta-forced rebuilds).
-    pub(crate) fn set_built_by(&mut self, cause: BuildCause) {
-        self.stats.built_by = cause;
+        Some(Self::assemble(scc, DiGraph::from_out_csr(out), support, cfg, self.stats.clone()))
     }
 
     /// Records one absorbed delta: the index is kept because every
@@ -712,7 +605,6 @@ impl Index {
     /// but the arc-support table still moves (inserted cross edges add
     /// support or latent pairs, metadata-only deletions decrement it).
     pub(crate) fn note_absorbed(&self, ins: &[(V, V)], del: &[(V, V)]) {
-        self.absorbed.fetch_add(1, Ordering::Relaxed);
         let mut support = self.support_table();
         Self::patch_support(&mut support, &self.scc.comp_of, self.dag.out_csr(), ins, del);
     }
@@ -755,12 +647,10 @@ impl Index {
         self.summary.tier()
     }
 
-    /// Build-cost and shape statistics (a snapshot: `absorbed_deltas`
-    /// and the arc-support figures advance as the catalog applies deltas
-    /// to this index).
+    /// Build-cost and shape statistics (a snapshot: the arc-support
+    /// figures advance as the catalog absorbs deltas into this index).
     pub fn stats(&self) -> IndexStats {
         let mut s = self.stats.clone();
-        s.absorbed_deltas = self.absorbed.load(Ordering::Relaxed);
         let support = self.support_table();
         s.supported_pairs = support.supported_pairs();
         s.latent_arcs = support.latent_arcs();
@@ -933,7 +823,7 @@ mod tests {
         assert_eq!(idx.tier(), SummaryTier::Labels);
         let s = idx.stats();
         assert!(s.label_entries >= 2 * s.num_components, "every component self-labels twice");
-        assert!(s.mean_label_len() >= 1.0);
+        assert!(s.num_components > 0);
         assert!(s.summary_bytes >= s.label_entries * 4);
         assert_eq!(s.exception_components, 0);
     }
@@ -981,8 +871,6 @@ mod tests {
         assert_eq!(s.num_components, idx.num_components());
         assert!(s.summary_bytes > 0);
         assert!(s.scc_seconds >= 0.0 && s.summary_seconds >= 0.0);
-        assert_eq!(s.dag_splices, 0);
-        assert_eq!(s.region_recomputes, 0);
     }
 
     /// The four stage timers own the build: nothing between the kernel
@@ -994,9 +882,10 @@ mod tests {
         let t = Instant::now();
         let idx = Index::build_with_config(&g, &IndexConfig::default());
         let wall = t.elapsed().as_secs_f64();
-        let charged = idx.stats().total_build_seconds();
+        let s = idx.stats();
+        let charged = s.scc_seconds + s.condense_seconds + s.levels_seconds + s.summary_seconds;
         assert!(charged >= 0.95 * wall, "stages sum to {charged:.4}s of {wall:.4}s");
-        assert_eq!(idx.stats().supported_pairs, idx.dag().m(), "a fresh build has no latent pair");
+        assert_eq!(s.supported_pairs, idx.dag().m(), "a fresh build has no latent pair");
     }
 
     #[test]
@@ -1029,8 +918,6 @@ mod tests {
             // so comp arcs mirror vertex arcs).
             let arcs = vec![(idx.comp(2), idx.comp(3))];
             let patched = idx.splice_dag_arcs(&arcs, &[(2, 3)], &[], &cfg);
-            assert_eq!(patched.stats.built_by, BuildCause::DagSplice);
-            assert_eq!(patched.stats.dag_splices, 1);
             let merged = g.with_delta(&[(2, 3)], &[]);
             for u in 0..6 {
                 for v in 0..6 {
@@ -1067,7 +954,6 @@ mod tests {
         assert_eq!(idx.tier(), SummaryTier::Labels);
         let (u, v) = arcs[arcs.len() / 2];
         let patched = idx.unsplice_dag_arcs(&[(idx.comp(u), idx.comp(v))], &[(u, v)], &cfg);
-        assert_eq!(patched.stats().built_by, BuildCause::ArcUnsplice);
         assert_eq!(patched.tier(), SummaryTier::Labels);
         let (before, after) = (idx.stats().summary_seconds, patched.stats().summary_seconds);
         assert_ne!(after.to_bits(), before.to_bits(), "the relabel reports the old build's time");
@@ -1090,8 +976,6 @@ mod tests {
             // be spliced in or 0 ⇝ 2 would be lost.
             let dead = vec![(idx.comp(1), idx.comp(2))];
             let patched = idx.unsplice_dag_arcs(&dead, &[(1, 2)], &cfg);
-            assert_eq!(patched.stats().built_by, BuildCause::ArcUnsplice);
-            assert_eq!(patched.stats().arc_unsplices, 1);
             assert_eq!(patched.stats().latent_arcs, 0, "latent pairs drain on unsplice");
             let merged = with_shortcut.with_delta(&[], &[(1, 2)]);
             for u in 0..3 {
@@ -1124,8 +1008,6 @@ mod tests {
             let merged = g.with_delta(&[], &[(2, 3)]);
             let patched =
                 idx.split_sccs(&merged, &[c], &[], &[(2, 3)], &cfg).expect("the cycle splits");
-            assert_eq!(patched.stats().built_by, BuildCause::SccSplit);
-            assert_eq!(patched.stats().scc_splits, 1);
             assert_eq!(patched.num_components(), 4);
             assert_eq!(patched.comp(1), patched.comp(3));
             assert_eq!(patched.comp(1), patched.comp(4));
@@ -1151,7 +1033,6 @@ mod tests {
             let mut region: Vec<u32> = vec![idx.comp(1), idx.comp(2), idx.comp(3)];
             region.sort_unstable();
             let patched = idx.recompute_region(&region, &[(c3, c1)], &[(3, 1)], &[], &cfg);
-            assert_eq!(patched.stats.built_by, BuildCause::RegionRecompute);
             assert_eq!(patched.num_components(), 4);
             assert_eq!(patched.comp(1), patched.comp(3));
             let merged = g.with_delta(&[(3, 1)], &[]);

@@ -45,8 +45,8 @@
 //!   deletion: SCC re-runs on just that component's members and the
 //!   sub-components are spliced back). The cost-bounded full rebuild
 //!   remains only for mixed structural deltas and repairs past the
-//!   [`RepairBudget`]. Each tier's use is tallied per entry
-//!   ([`Catalog::repair_counts`]).
+//!   [`RepairBudget`]. Which tier ran comes back in the
+//!   [`DeltaReport`].
 //!
 //! ```
 //! use pscc_engine::{Catalog, Index, QueryBatch};
@@ -76,9 +76,9 @@ mod layers;
 pub mod planner;
 
 pub use batch::{BatchOptions, BatchStats, QueryBatch};
-pub use catalog::{BatchSubmitter, Catalog, CompactionPolicy, RepairCounts};
+pub use catalog::{BatchSubmitter, Catalog, CompactionPolicy};
 pub use delta::{Delta, DeltaError, DeltaOutcome, DeltaReport};
 pub use explain::{PlanExplain, QueryExplain, QueryTier};
-pub use index::{BuildCause, Index, IndexConfig, IndexStats, SummaryTier};
+pub use index::{Index, IndexConfig, IndexStats, SummaryTier};
 pub use planner::{plan_repair_explained, RebuildReason, RepairBudget, RepairPlan};
 pub use pscc_telemetry as telemetry;

@@ -363,11 +363,6 @@ impl UnGraph {
         Self { adj: crate::builder::build_csr(n, &sym) }
     }
 
-    /// Wraps an existing symmetric CSR without checking symmetry.
-    pub fn from_symmetric_csr(adj: Csr) -> Self {
-        Self { adj }
-    }
-
     /// Number of vertices.
     #[inline]
     pub fn n(&self) -> usize {

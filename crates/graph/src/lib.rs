@@ -2,7 +2,7 @@
 //!
 //! Graph substrate for the parallel-scc workspace: compressed-sparse-row
 //! digraphs and undirected graphs, parallel builders from edge lists,
-//! text/binary I/O, structural statistics, and deterministic generators for
+//! text/binary I/O, and deterministic generators for
 //! every graph family in the paper's evaluation (§6): social-style RMAT
 //! graphs, web-style bowtie digraphs, k-NN graphs from synthetic point
 //! clouds, and the four circular-lattice models SQR/REC/SQR'/REC'.
@@ -12,7 +12,6 @@ pub mod csr;
 pub mod fixtures;
 pub mod generators;
 pub mod io;
-pub mod stats;
 pub mod view;
 
 pub use builder::{

@@ -46,12 +46,6 @@ pub fn atomic_min_u32(a: &AtomicU32, v: u32) -> bool {
     false
 }
 
-/// Atomically XORs `v` into `a` (used for commutative signature combining).
-#[inline]
-pub fn atomic_xor_u64(a: &AtomicU64, v: u64) {
-    a.fetch_xor(v, Ordering::Relaxed);
-}
-
 /// A fixed-size concurrent bit vector.
 ///
 /// This is the `visit[·]` array of Alg. 3: `test_and_set` is the

@@ -48,6 +48,6 @@ pub use permute::{random_permutation, random_permutation_of};
 pub use pool::{num_workers, with_threads};
 pub use pscc_telemetry::{PhaseTimer, Timer};
 pub use reduce::{par_count, par_max, par_reduce, par_sum_u64};
-pub use rng::{hash32, hash64, SplitMix64};
+pub use rng::{hash64, SplitMix64};
 pub use scan::scan_exclusive;
 pub use sort::{par_sort_unstable, par_sort_unstable_by_key};

@@ -17,12 +17,6 @@ pub fn hash64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// A 32-bit hash derived from [`hash64`].
-#[inline(always)]
-pub fn hash32(x: u32) -> u32 {
-    (hash64(x as u64) >> 32) as u32
-}
-
 /// Combines two 64-bit values into one hash. Used for the partition labels
 /// of the FW-BW baseline.
 #[inline(always)]
@@ -51,12 +45,6 @@ impl SplitMix64 {
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         hash64(self.state)
-    }
-
-    /// Next 32 random bits.
-    #[inline(always)]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
     }
 
     /// Uniform value in `[0, bound)`. `bound` must be nonzero.

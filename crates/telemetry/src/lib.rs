@@ -57,8 +57,7 @@ pub use recorder::FlightEvent;
 pub use snapshot::{escape_label_value, render_json, render_text, TelemetrySnapshot};
 pub use time::{PhaseTimer, Timer};
 pub use trace::{
-    current_context, drain_spans, snapshot_spans, span, with_context, SpanGuard, SpanRecord,
-    TraceContext,
+    current_context, snapshot_spans, span, with_context, SpanGuard, SpanRecord, TraceContext,
 };
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -285,11 +285,6 @@ impl HistogramSnapshot {
         self.max as f64
     }
 
-    /// The `q`-quantile in seconds.
-    pub fn quantile_seconds(&self, q: f64) -> f64 {
-        self.quantile_nanos(q) * 1e-9
-    }
-
     /// Mean recorded value in nanoseconds (`0.0` when empty).
     pub fn mean_nanos(&self) -> f64 {
         if self.count == 0 {

@@ -585,11 +585,6 @@ pub fn is_active() -> bool {
     active_slot().lock().expect("flight recorder slot lock").is_some()
 }
 
-/// The active recorder's journal directory, if one is installed.
-pub fn active_dir() -> Option<PathBuf> {
-    active_slot().lock().expect("flight recorder slot lock").as_ref().map(|r| r.dir().to_path_buf())
-}
-
 /// Records `event` through the active recorder; a cheap no-op when none
 /// is installed.
 pub fn record(event: FlightEvent) {

@@ -17,7 +17,7 @@
 //! ones are dropped (tracing must never grow unbounded in a server), and
 //! every eviction increments the `pscc_trace_spans_dropped_total` counter
 //! so the loss is visible in exposition dumps. Tests read the sink with
-//! [`snapshot_spans`] or [`drain_spans`].
+//! [`snapshot_spans`].
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -228,11 +228,6 @@ pub fn with_context<R>(ctx: Option<TraceContext>, f: impl FnOnce() -> R) -> R {
 /// without clearing it.
 pub fn snapshot_spans() -> Vec<SpanRecord> {
     sink().lock().expect("span sink poisoned").iter().cloned().collect()
-}
-
-/// Removes and returns every retained finished span (oldest first).
-pub fn drain_spans() -> Vec<SpanRecord> {
-    sink().lock().expect("span sink poisoned").drain(..).collect()
 }
 
 #[cfg(test)]

@@ -45,8 +45,17 @@ fn main() {
     }
 
     // Ground truth via one BFS.
-    let dg = parallel_scc::graph::DiGraph::from_out_csr(g.csr().clone());
-    let (dist, _, _) = parallel_scc::graph::stats::bfs_ecc(&dg, probe as V, false);
+    let mut dist = vec![u32::MAX; n];
+    dist[probe] = 0;
+    let mut queue = std::collections::VecDeque::from([probe as V]);
+    while let Some(u) = queue.pop_front() {
+        for &w in g.neighbors(u) {
+            if dist[w as usize] == u32::MAX {
+                dist[w as usize] = dist[u as usize] + 1;
+                queue.push_back(w);
+            }
+        }
+    }
     println!("{:>4} {:>12} {:>12} {:>8}", "d", "true |ball|", "estimate", "ratio");
     for d in 0..10u32 {
         let truth = dist.iter().filter(|&&x| x <= d).count();

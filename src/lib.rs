@@ -33,7 +33,7 @@
 //! | [`baselines`] | `pscc-baselines` | Tarjan, Kosaraju, GBBS-like, Multi-step, FW-BW |
 //! | [`cc`] | `pscc-cc` | LDD-UF-JTB connectivity (§5.1) |
 //! | [`lelists`] | `pscc-lelists` | BGSS least-element lists (§5.2) |
-//! | [`apps`] | `pscc-apps` | condensation, topological sort, 2-SAT |
+//! | [`apps`] | `pscc-apps` | condensation, topological sort |
 //! | [`engine`] | `pscc-engine` | batched reachability queries over the condensation DAG |
 //! | [`store`] | `pscc-store` | durable snapshots + write-ahead delta log with crash recovery |
 //! | [`telemetry`] | `pscc-telemetry` | zero-dependency metrics, tracing spans, exposition, logging |
@@ -88,7 +88,7 @@ pub use pscc_telemetry as telemetry;
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use pscc_apps::{condense, scc_topological_order, topological_order, Lit, TwoSat};
+    pub use pscc_apps::{condense, scc_topological_order, topological_order};
     pub use pscc_bag::{BagConfig, HashBag};
     pub use pscc_baselines::{fwbw_scc, gbbs_scc, kosaraju_scc, multistep_scc, tarjan_scc};
     pub use pscc_cc::{connected_components, CcConfig, LddConfig, LddMode};

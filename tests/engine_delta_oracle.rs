@@ -7,7 +7,7 @@
 //! delta is repaired by the region tier without an SCC run over the
 //! whole graph).
 
-use parallel_scc::engine::{BuildCause, Delta, DeltaOutcome};
+use parallel_scc::engine::{Delta, DeltaOutcome};
 use parallel_scc::prelude::*;
 use std::sync::Arc;
 
@@ -80,8 +80,6 @@ fn rmat_absorbable_delta_keeps_index_merging_delta_repairs_in_place() {
     assert_eq!(report.outcome, DeltaOutcome::Absorbed);
     let kept = catalog.index("g").unwrap();
     assert!(Arc::ptr_eq(&before, &kept), "absorbed delta must keep the index instance");
-    assert_eq!(kept.stats().absorbed_deltas, 1);
-    assert_eq!(kept.stats().built_by, BuildCause::Fresh);
 
     // Component-merging delta: a patched index from the region tier (or,
     // if the merge region outgrows the planner budget on this graph, the
@@ -91,16 +89,11 @@ fn rmat_absorbable_delta_keeps_index_merging_delta_repairs_in_place() {
     let report = catalog.apply_delta("g", &d).unwrap();
     let repaired = catalog.index("g").unwrap();
     assert!(!Arc::ptr_eq(&before, &repaired), "merging delta must produce a new index");
-    match report.outcome {
-        DeltaOutcome::RegionRecomputed => {
-            assert_eq!(repaired.stats().built_by, BuildCause::RegionRecompute);
-            assert_eq!(repaired.stats().region_recomputes, 1);
-        }
-        DeltaOutcome::Rebuilt => {
-            assert_eq!(repaired.stats().built_by, BuildCause::DeltaRebuild);
-        }
-        other => panic!("merging delta took an impossible path: {other:?}"),
-    }
+    assert!(
+        matches!(report.outcome, DeltaOutcome::RegionRecomputed | DeltaOutcome::Rebuilt),
+        "merging delta took an impossible path: {:?}",
+        report.outcome
+    );
     // Components did merge: strictly fewer than before.
     assert!(repaired.num_components() < before.num_components());
     // The merge is visible: the reversed pair became mutually reachable.

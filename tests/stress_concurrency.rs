@@ -108,6 +108,27 @@ fn slow_build_config(labelings: usize) -> IndexConfig {
     IndexConfig { bitset_budget_bytes: 0, labelings, exception_cap: 0, ..IndexConfig::default() }
 }
 
+/// DFS oracle: does `u ⇝ v` hold in `g` once `del` is deleted and `ins`
+/// inserted?
+fn reaches_after(g: &DiGraph, (u, v): (V, V), del: (V, V), ins: (V, V)) -> bool {
+    let mut seen = vec![false; g.n()];
+    let mut stack = vec![u];
+    seen[u as usize] = true;
+    while let Some(x) = stack.pop() {
+        if x == v {
+            return true;
+        }
+        let extra = (x == ins.0).then_some(ins.1);
+        for w in g.out_neighbors(x).iter().copied().chain(extra) {
+            if (x, w) != del && !seen[w as usize] {
+                seen[w as usize] = true;
+                stack.push(w);
+            }
+        }
+    }
+    false
+}
+
 /// Closes the ROADMAP open item, part 1: while `apply_delta` is merging
 /// and rebuilding **off-lock**, queries against the same graph keep being
 /// answered from the old index instead of stalling for the rebuild.
@@ -132,15 +153,17 @@ fn queries_answered_from_old_index_during_delta_rebuild() {
     let index = cat.index("g").expect("eager first build");
     // An intra-SCC edge is always a *structural* deletion (only the
     // split check could classify it) — mixed with the insertion below,
-    // the planner must price the delta out to a full rebuild.
-    let doomed_edge = cat
-        .graph("g")
-        .expect("registered")
+    // the planner must price the delta out to a full rebuild. This one is
+    // the only path from its tail to its head, so the delta flips that
+    // answer.
+    let graph = cat.graph("g").expect("registered");
+    let doomed_edge = graph
         .out_csr()
         .edges()
-        .find(|&(u, v)| u != v && index.comp(u) == index.comp(v))
-        .expect("gnm(200k, 300k) has a giant SCC with intra edges");
-    drop(index);
+        .filter(|&(u, v)| u != v && index.comp(u) == index.comp(v))
+        .find(|&e| !reaches_after(&graph, e, e, absent_edge))
+        .expect("gnm(200k, 300k) has a giant SCC with a bridge-like intra edge");
+    drop(graph);
 
     let rebuild_done = Arc::new(AtomicBool::new(false));
     let writer = {
@@ -182,11 +205,11 @@ fn queries_answered_from_old_index_during_delta_rebuild() {
          (old behavior: merge under the entry mutex)"
     );
     assert_eq!(in_flight.get(), 0, "the gauge must drop once the rebuild installs");
-    // After the swap, answers reflect the deletion-rebuilt index.
-    assert_eq!(
-        cat.index("g").unwrap().stats().built_by,
-        parallel_scc::engine::BuildCause::DeltaRebuild
-    );
+    // After the swap, answers come from a new index that saw the deletion.
+    let rebuilt = cat.index("g").unwrap();
+    assert!(!Arc::ptr_eq(&index, &rebuilt), "the rebuild installs a new index");
+    assert!(index.reaches(doomed_edge.0, doomed_edge.1));
+    assert!(!rebuilt.reaches(doomed_edge.0, doomed_edge.1), "the deletion is not visible");
 }
 
 /// Closes the ROADMAP open item, part 2: an `apply_delta` racing an
