@@ -47,9 +47,7 @@
 //! provably cannot have touched.
 
 use crate::explain::QueryTier;
-use crate::layers::{
-    ancestors_of, LevelLayer, SccLayer, SummaryConfig, SummaryLayer, SupportLayer,
-};
+use crate::layers::{LevelLayer, SccLayer, SummaryConfig, SummaryLayer, SupportLayer};
 use pscc_apps::{condense_scc, topological_order, Condensation};
 use pscc_core::{dense_components, parallel_scc, parallel_scc_induced, SccConfig};
 use pscc_graph::{csr_from_weighted_arcs, merge_csr, Csr, DiGraph, V};
@@ -283,10 +281,10 @@ impl Index {
     /// endpoints) into the DAG. Sound **only** when the planner proved the
     /// arcs cannot create a cycle among components — then the SCC layer is
     /// untouched, levels are relaxed from the new arcs, and the summary is
-    /// repaired for the affected ancestors only (see the `layers`
-    /// module). `ins`/`del` are the delta's effective edges, used solely
-    /// to keep the arc-support table in lockstep (any deletions riding
-    /// along were proven metadata-only by the planner).
+    /// patched (see `SummaryLayer::splice_arcs`). `ins`/`del` are the
+    /// delta's effective edges, used solely to keep the arc-support table
+    /// in lockstep (any deletions riding along were proven metadata-only
+    /// by the planner).
     pub(crate) fn splice_dag_arcs(
         &self,
         arcs: &[(u32, u32)],
@@ -299,15 +297,9 @@ impl Index {
         let dag = self.dag.with_delta(&arcs, &[]);
         let mut levels = self.levels.clone();
         levels.splice(&dag, &arcs);
-
-        // Descendant sets grew exactly for ancestors (in the new DAG) of
-        // the spliced arcs' sources; repair children-first.
-        let mut sources: Vec<V> = arcs.iter().map(|&(s, _)| s).collect();
-        sources.sort_unstable();
-        sources.dedup();
-        let mut affected = ancestors_of(&dag, &sources);
-        affected.sort_unstable_by_key(|&c| std::cmp::Reverse(levels.levels[c as usize]));
-        let summary = self.summary.splice_arcs(&dag, &arcs, &affected, cfg.exception_cap);
+        // Bitsets and intervals repair the new DAG's ancestors of the arcs'
+        // sources; the label tier patches from the arcs alone.
+        let summary = self.summary.splice_arcs(&dag, &arcs, &levels.levels, &cfg.summary());
 
         let mut support = self.support_table().realigned(self.dag.out_csr(), dag.out_csr(), &arcs);
         Self::patch_support(&mut support, &self.scc.comp_of, dag.out_csr(), ins, del);
@@ -401,10 +393,8 @@ impl Index {
     /// arcs go, every **latent** pair is spliced into the DAG — a latent
     /// pair's reachability was witnessed by DAG paths that may run
     /// through exactly the arcs being removed. Levels are then relaxed
-    /// exactly from the changed arcs and the summary is repaired for the
-    /// affected ancestors only: ancestors (old DAG) of the dead arcs'
-    /// sources whose descendant sets shrank, plus ancestors (new DAG) of
-    /// the latent arcs' sources whose descendant sets grew.
+    /// exactly from the changed arcs and the summary is repaired (see
+    /// `SummaryLayer::unsplice_arcs`).
     pub(crate) fn unsplice_dag_arcs(
         &self,
         dead: &[(u32, u32)],
@@ -424,23 +414,15 @@ impl Index {
         let support = support.realigned(self.dag.out_csr(), dag.out_csr(), &changed);
 
         let mut levels = self.levels.clone();
-        let mut seeds: Vec<V> = dead.iter().chain(&latent).map(|&(_, b)| b).collect();
-        seeds.sort_unstable();
-        seeds.dedup();
-        levels.unsplice(&dag, &seeds);
+        levels.unsplice(&dag, &changed);
 
-        let mut affected =
-            ancestors_of(&self.dag, &dead.iter().map(|&(s, _)| s).collect::<Vec<_>>());
-        affected.extend(ancestors_of(&dag, &latent.iter().map(|&(s, _)| s).collect::<Vec<_>>()));
-        affected.sort_unstable();
-        affected.dedup();
-        affected.sort_unstable_by_key(|&c| std::cmp::Reverse(levels.levels[c as usize]));
-        // Bitset/interval tiers repair the affected ancestors of a copy;
-        // the label tier relabels against the new DAG (exact certificates
-        // cannot be narrowed locally) — see `SummaryLayer::unsplice_arcs`.
+        // Bitset/interval tiers repair a copy over the new DAG's ancestors
+        // of every changed arc's source; the label tier relabels against
+        // the new DAG (exact certificates cannot be narrowed locally) —
+        // see `SummaryLayer::unsplice_arcs`.
         let relabel = self.summary.tier() == SummaryTier::Labels;
         let t_summary = Instant::now();
-        let summary = self.summary.unsplice_arcs(&dag, &affected, &cfg.summary());
+        let summary = self.summary.unsplice_arcs(&dag, &changed, &levels.levels, &cfg.summary());
         let summary_seconds = t_summary.elapsed().as_secs_f64();
 
         let mut stats = self.stats.clone();
@@ -985,6 +967,36 @@ mod tests {
             }
             // Levels narrowed exactly: 2 is now a direct child of 0 only.
             assert!(patched.level(patched.comp(0)) < patched.level(patched.comp(2)));
+        }
+    }
+
+    /// The unsplice repair region is one walk over the new DAG from every
+    /// changed arc's source. Two dead arcs on one chain, a latent pair the
+    /// unsplice drains, and an ancestor (0) that reaches the second dead
+    /// arc's source only through the first dead arc: the exact bitset
+    /// tier, like the others, must answer every pair like a scratch build.
+    #[test]
+    fn unsplice_region_covers_dead_and_latent_sources() {
+        for cfg in tier_configs() {
+            // 0 -> 1 -> 2 -> 3 -> 4, with a shortcut 2 -> 4 absorbed.
+            let g = path_digraph(5);
+            let idx = Index::build_with_config(&g, &cfg);
+            idx.note_absorbed(&[(2, 4)], &[]);
+            assert_eq!(idx.stats().latent_arcs, 1);
+            // Deleting 1 -> 2 and 3 -> 4 kills both arcs; the latent
+            // (2, 4) keeps 2 ⇝ 4.
+            let del = [(1, 2), (3, 4)];
+            let dead: Vec<(u32, u32)> =
+                del.iter().map(|&(u, v)| (idx.comp(u), idx.comp(v))).collect();
+            let patched = idx.unsplice_dag_arcs(&dead, &del, &cfg);
+            assert_eq!(patched.stats().latent_arcs, 0);
+            let merged = g.with_delta(&[(2, 4)], &del);
+            for u in 0..5 {
+                for v in 0..5 {
+                    let want = bfs_reaches(&merged, u, v);
+                    assert_eq!(patched.reaches(u, v), want, "{:?} ({u}, {v})", idx.tier());
+                }
+            }
         }
     }
 

@@ -9,13 +9,14 @@
 //! | [`SccLayer`] | BGSS SCC over the graph | [`SccLayer::remapped`] — merge components through an old→new id map |
 //! | condensation DAG | `condense_scc` over all edges | `DiGraph::with_delta` arc splice/unsplice, or contraction of the *old DAG* (never the graph) |
 //! | [`LevelLayer`] | sweep in topological order | [`LevelLayer::splice`] — worklist relaxation from new arcs; [`LevelLayer::unsplice`] — exact recompute from changed-arc targets |
-//! | [`SummaryLayer`] | bitsets, 2-hop hub labels ([`LabelLayer::build`]: one sequential flat pass, hubs by a counting sort on degree, pruning by a mark array over ranks), or interval labels | [`SummaryLayer::splice_arcs`] — recompute/widen only the affected ancestors (hub labels: extend coverage over each new arc's `anc × desc` region); [`SummaryLayer::unsplice_arcs`] — same for bitsets/intervals (sound for arc removal), hub labels relabel from scratch (exact certificates are not over-approximations) |
+//! | [`SummaryLayer`] | bitsets, 2-hop hub labels ([`LabelLayer::build`]: one sequential flat pass, hubs by a counting sort on degree, pruning by a mark array over ranks), or interval labels | [`SummaryLayer::splice_arcs`] — bitsets/intervals recompute/widen only the ancestors of the new arcs' sources (hub labels: extend coverage over each new arc's `anc × desc` region, both walks of every arc on one [`Walker`]); [`SummaryLayer::unsplice_arcs`] — bitsets/intervals the same over the new DAG's ancestors of every changed arc's source, one walk (sound for arc removal), hub labels relabel from scratch (exact certificates are not over-approximations) |
 //! | [`SupportLayer`] | the condensation's own arc multiplicities (`contract_csr`) | per-edge increments/decrements, [`SupportLayer::realigned`] after an arc splice/unsplice, [`SupportLayer::contracted`] after merges |
 //!
 //! The DAG itself has no wrapper type: `DiGraph` already supports the two
 //! partial updates the repair tiers need (arc splicing via `with_delta`,
 //! and contraction through a merge map via `contract_csr`, which also
-//! carries the support counts along).
+//! carries the support counts along). Every reachability set a repair
+//! collects over it comes from one [`Walker`].
 
 use crate::explain::QueryTier;
 use pscc_graph::{contract_csr, merge_rows, splice_values, Csr, DiGraph, V};
@@ -283,8 +284,8 @@ impl LevelLayer {
 
     /// Partial invalidation after arcs were **removed** (and possibly
     /// others added in the same repair): exact per-component recompute
-    /// from the in-neighbors of the *new* DAG, seeded at every changed
-    /// arc's target and propagated to successors while values move.
+    /// from the in-neighbors of the *new* DAG, seeded at the target of
+    /// every `changed` arc and propagated to successors while values move.
     ///
     /// Unlike [`LevelLayer::splice`] this handles levels that shrink: a
     /// removed arc can have been the unique longest incoming path of its
@@ -292,8 +293,8 @@ impl LevelLayer {
     /// converges to the unique longest-path fixpoint of the new DAG (a
     /// component recomputed against a predecessor that later moves is
     /// simply re-pushed by that predecessor's change).
-    pub fn unsplice(&mut self, dag: &DiGraph, seeds: &[V]) {
-        let mut work: Vec<V> = seeds.to_vec();
+    pub fn unsplice(&mut self, dag: &DiGraph, changed: &[(V, V)]) {
+        let mut work: Vec<V> = changed.iter().map(|&(_, b)| b).collect();
         while let Some(c) = work.pop() {
             let want =
                 dag.in_neighbors(c).iter().map(|&p| self.levels[p as usize] + 1).max().unwrap_or(0);
@@ -471,17 +472,21 @@ impl LabelLayer {
     ///
     /// Returns the patched labeling; only the components that gain a hub
     /// are merged, every other label is copied run-wise ([`merge_rows`]).
+    /// Both walks of every arc share one [`Walker`].
     pub fn spliced(&self, dag: &DiGraph, new_arcs: &[(V, V)]) -> LabelLayer {
         let mut add_out: Vec<(V, u32)> = Vec::new();
         let mut add_in: Vec<(V, u32)> = Vec::new();
+        let mut walker = Walker::new(dag.n());
         for &(a, b) in new_arcs {
             let hub = self.rank_of[b as usize];
-            for u in ancestors_of(dag, &[a]) {
+            walker.walk(dag.in_csr(), &[a], |u| {
                 add_out.push((u, hub));
-            }
-            for v in descendants_of(dag, &[b]) {
+                Step::Expand
+            });
+            walker.walk(dag.out_csr(), &[b], |v| {
                 add_in.push((v, hub));
-            }
+                Step::Expand
+            });
         }
         pscc_graph::dedup_edges(&mut add_out);
         pscc_graph::dedup_edges(&mut add_in);
@@ -829,23 +834,19 @@ impl SummaryLayer {
     }
 
     /// Partial invalidation after an arc **splice** (insertions only),
-    /// returning the repaired layer.
-    /// `new_arcs` are the spliced arcs and `dag` the post-splice DAG;
-    /// `affected` must hold every component whose descendant set changed
-    /// — the ancestors (sources included) of the new arcs' sources —
-    /// ordered children-first (descending new level), so every component
-    /// is repaired after all of its affected out-neighbors.
+    /// returning the repaired layer. `new_arcs` are the spliced arcs, `dag`
+    /// the post-splice DAG and `levels` its levels.
     ///
-    /// * Bitset tier: the affected rows are recomputed from their
-    ///   (final) child rows; unaffected rows are untouched.
+    /// * Bitset tier: the rows of the components whose descendant set
+    ///   grew, the ancestors in `dag` of the new arcs' sources, are
+    ///   recomputed from their (final) child rows; other rows are untouched.
     /// * Label tier: exact hub-coverage extension over each new arc's
-    ///   `anc × desc` region — see [`LabelLayer::spliced`] (`affected` is
-    ///   not needed; the arcs themselves drive the patch, and nothing is
-    ///   cloned first).
-    /// * Interval tier: the affected intervals are *widened* over their
-    ///   children (`low` down, `rank` up), which keeps nesting a
+    ///   `anc × desc` region — see [`LabelLayer::spliced`] (the arcs
+    ///   themselves drive the patch; no ancestor set, nothing cloned first).
+    /// * Interval tier: the same ancestors' intervals are *widened* over
+    ///   their children (`low` down, `rank` up), which keeps nesting a
     ///   necessary condition for reachability while never touching
-    ///   unaffected labels; affected exception lists are recomputed from
+    ///   unaffected labels; their exception lists are recomputed from
     ///   the child lists and dropped to `None` when they overflow the cap
     ///   (the pruned DFS then simply descends — exactness is preserved
     ///   because a present list is always recomputed, never stale).
@@ -853,19 +854,19 @@ impl SummaryLayer {
         &self,
         dag: &DiGraph,
         new_arcs: &[(V, V)],
-        affected: &[V],
-        exception_cap: usize,
+        levels: &[u32],
+        cfg: &SummaryConfig,
     ) -> SummaryLayer {
         if let SummaryLayer::Labels(labels) = self {
             return SummaryLayer::Labels(labels.spliced(dag, new_arcs));
         }
-        let mut repaired = self.clone();
-        repaired.recompute_affected(dag, affected, exception_cap);
-        repaired
+        self.recompute_affected(dag, new_arcs, levels, cfg.exception_cap)
     }
 
     /// Partial invalidation after arcs were **removed** (and possibly
-    /// others added in the same repair). For bitsets the affected rows are
+    /// others added in the same repair): `changed` are the removed and
+    /// added arcs, `dag` the new DAG and `levels` its levels. For bitsets
+    /// the rows of the components whose descendant set changed are
     /// recomputed from final children, which is exact under removal too;
     /// for intervals the widen-only pass stays *sound* because shrinking
     /// reachability makes an over-approximation strictly looser, never
@@ -876,10 +877,22 @@ impl SummaryLayer {
     /// and levels are all kept). If the relabel overflows the label
     /// budget, the layer downgrades to the interval tier. Returns the
     /// repaired layer; only the bitset/interval tiers clone this one.
+    ///
+    /// The components whose descendant set changed are the old DAG's
+    /// ancestors of the removed arcs' sources plus the new DAG's ancestors
+    /// of the added arcs' sources. That union is one walk over the new DAG
+    /// from every changed arc's source. With `D` the old DAG and
+    /// `D' = D − removed + added`:
+    /// * a `D'`-path to a removed arc's source either uses no added arc,
+    ///   so it is a `D`-path, or it passes an added arc's source;
+    /// * a `D`-path `z ⇝ s` to a removed arc's source either is already a
+    ///   `D'`-path, or its first removed arc `(a, b)` gives a removal-free
+    ///   prefix `z ⇝ a`, a `D'`-path that ends at a removed arc's source.
     pub fn unsplice_arcs(
         &self,
         dag: &DiGraph,
-        affected: &[V],
+        changed: &[(V, V)],
+        levels: &[u32],
         cfg: &SummaryConfig,
     ) -> SummaryLayer {
         if matches!(self, SummaryLayer::Labels(_)) {
@@ -904,21 +917,36 @@ impl SummaryLayer {
                 }
             };
         }
-        let mut repaired = self.clone();
-        repaired.recompute_affected(dag, affected, cfg.exception_cap);
-        repaired
+        self.recompute_affected(dag, changed, levels, cfg.exception_cap)
     }
 
-    /// The shared in-place bitset/interval repair pass over `affected`
-    /// (see [`Self::splice_arcs`]); the label tier never reaches it.
-    fn recompute_affected(&mut self, dag: &DiGraph, affected: &[V], exception_cap: usize) {
-        match self {
+    /// The shared bitset/interval repair pass (see [`Self::splice_arcs`]) on
+    /// a copy: over the ancestors in `dag` of the `arcs`' sources,
+    /// children-first (descending `levels`), so every component is repaired
+    /// after all of its affected out-neighbors. The label tier never
+    /// reaches it.
+    fn recompute_affected(
+        &self,
+        dag: &DiGraph,
+        arcs: &[(V, V)],
+        levels: &[u32],
+        exception_cap: usize,
+    ) -> SummaryLayer {
+        let sources: Vec<V> = arcs.iter().map(|&(s, _)| s).collect();
+        let mut affected = Vec::new();
+        Walker::new(dag.n()).walk(dag.in_csr(), &sources, |c| {
+            affected.push(c);
+            Step::Expand
+        });
+        affected.sort_unstable_by_key(|&c| std::cmp::Reverse(levels[c as usize]));
+        let mut repaired = self.clone();
+        match &mut repaired {
             SummaryLayer::Labels(_) => {
                 debug_assert!(false, "label tier uses splice/relabel, not affected recompute");
             }
             SummaryLayer::Bitset { words_per_row, rows } => {
                 let words = *words_per_row;
-                for &c in affected {
+                for &c in &affected {
                     let c = c as usize;
                     rows[c * words..(c + 1) * words].fill(0);
                     for &d in dag.out_neighbors(c as V) {
@@ -929,7 +957,7 @@ impl SummaryLayer {
                 }
             }
             SummaryLayer::Intervals { labelings, exceptions } => {
-                for &c in affected {
+                for &c in &affected {
                     let c = c as usize;
                     for l in labelings.iter_mut() {
                         for &d in dag.out_neighbors(c as V) {
@@ -945,6 +973,7 @@ impl SummaryLayer {
                 }
             }
         }
+        repaired
     }
 }
 
@@ -1153,56 +1182,57 @@ fn merge_child_exceptions(
     }
 }
 
-/// Ancestors of `sources` (sources included) by backward traversal —
-/// exactly the components whose descendant summary an arc splice at those
-/// sources invalidates. Call with the **new** (post-splice) DAG so chains
-/// of spliced arcs are followed too.
-pub(crate) fn ancestors_of(dag: &DiGraph, sources: &[V]) -> Vec<V> {
-    let mut seen = vec![false; dag.n()];
-    let mut out: Vec<V> = Vec::new();
-    let mut stack: Vec<V> = Vec::new();
-    for &s in sources {
-        if !seen[s as usize] {
-            seen[s as usize] = true;
-            stack.push(s);
-            out.push(s);
-        }
-    }
-    while let Some(c) = stack.pop() {
-        for &p in dag.in_neighbors(c) {
-            if !seen[p as usize] {
-                seen[p as usize] = true;
-                stack.push(p);
-                out.push(p);
-            }
-        }
-    }
-    out
+// ---- DAG walk -------------------------------------------------------------
+
+/// What [`Walker::walk`]'s visit callback makes of a component it reached.
+pub(crate) enum Step {
+    /// Go on through the component's arcs.
+    Expand,
+    /// Keep the walk from passing through the component.
+    Prune,
+    /// End the walk here.
+    Stop,
 }
 
-/// Descendants of `sources` (sources included) by forward traversal — the
-/// label tier's `label_in` patch region for a spliced arc.
-pub(crate) fn descendants_of(dag: &DiGraph, sources: &[V]) -> Vec<V> {
-    let mut seen = vec![false; dag.n()];
-    let mut out: Vec<V> = Vec::new();
-    let mut stack: Vec<V> = Vec::new();
-    for &s in sources {
-        if !seen[s as usize] {
-            seen[s as usize] = true;
-            stack.push(s);
-            out.push(s);
-        }
+/// The repair tiers' one reachability walk over a DAG. Its `seen` array
+/// is sized once for the whole repair and is all false between walks: each
+/// walk clears what it marked through its own queue, so a walk costs what
+/// it reaches, not the DAG's size, whether it ran out or was stopped.
+pub(crate) struct Walker {
+    seen: Vec<bool>,
+    /// The running walk's components in the order reached.
+    queue: Vec<V>,
+}
+
+impl Walker {
+    /// A walker over DAGs of `k` components.
+    pub fn new(k: usize) -> Walker {
+        Walker { seen: vec![false; k], queue: Vec::new() }
     }
-    while let Some(c) = stack.pop() {
-        for &d in dag.out_neighbors(c) {
-            if !seen[d as usize] {
-                seen[d as usize] = true;
-                stack.push(d);
-                out.push(d);
+
+    /// Breadth-first from `sources` along `arcs` (a DAG's out-CSR walks to
+    /// descendants, its in-CSR to ancestors). `visit` sees every component
+    /// reached exactly once, sources first, and decides with a [`Step`].
+    /// Returns false iff `visit` stopped the walk.
+    pub fn walk(&mut self, arcs: &Csr, sources: &[V], mut visit: impl FnMut(V) -> Step) -> bool {
+        let (mut head, mut next) = (0, sources);
+        let ran_out = loop {
+            for &d in next {
+                if !std::mem::replace(&mut self.seen[d as usize], true) {
+                    self.queue.push(d);
+                }
             }
-        }
+            let Some(&c) = self.queue.get(head) else { break true };
+            head += 1;
+            next = match visit(c) {
+                Step::Expand => arcs.neighbors(c),
+                Step::Prune => &[],
+                Step::Stop => break false,
+            };
+        };
+        self.queue.drain(..).for_each(|c| self.seen[c as usize] = false);
+        ran_out
     }
-    out
 }
 
 #[cfg(test)]
@@ -1373,11 +1403,7 @@ mod tests {
             for (tier, cfg) in tier_configs() {
                 let (summary, _, _) = SummaryLayer::build(&dag, &order, &cfg);
                 assert_eq!(summary.tier(), tier, "seed {seed}: forcing config picked wrong tier");
-                let sources: Vec<V> = new_arcs.iter().map(|&(s, _)| s).collect();
-                let mut affected = ancestors_of(&spliced, &sources);
-                affected.sort_unstable_by_key(|&c| std::cmp::Reverse(levels.levels[c as usize]));
-                let summary =
-                    summary.splice_arcs(&spliced, &new_arcs, &affected, cfg.exception_cap);
+                let summary = summary.splice_arcs(&spliced, &new_arcs, &levels.levels, &cfg);
 
                 let (want, _, _) = SummaryLayer::build(&spliced, &sorder, &cfg);
                 for cu in 0..40usize {
@@ -1411,17 +1437,13 @@ mod tests {
             let dead: Vec<(V, V)> = vec![all[seed as usize % all.len()], all[all.len() / 2]];
             let shrunk = dag.with_delta(&[], &dead);
             let sorder = topological_order(&shrunk).unwrap();
-            let seeds: Vec<V> = dead.iter().map(|&(_, b)| b).collect();
             let mut levels = LevelLayer::build(&dag, &order);
-            levels.unsplice(&shrunk, &seeds);
+            levels.unsplice(&shrunk, &dead);
 
             for (tier, cfg) in tier_configs() {
                 let (summary, _, _) = SummaryLayer::build(&dag, &order, &cfg);
                 assert_eq!(summary.tier(), tier);
-                let sources: Vec<V> = dead.iter().map(|&(s, _)| s).collect();
-                let mut affected = ancestors_of(&dag, &sources);
-                affected.sort_unstable_by_key(|&c| std::cmp::Reverse(levels.levels[c as usize]));
-                let summary = summary.unsplice_arcs(&shrunk, &affected, &cfg);
+                let summary = summary.unsplice_arcs(&shrunk, &dead, &levels.levels, &cfg);
 
                 let (want, _, _) = SummaryLayer::build(&shrunk, &sorder, &cfg);
                 for cu in 0..40usize {
@@ -1484,12 +1506,23 @@ mod tests {
         let mut add_in: Vec<(V, u32)> = Vec::new();
         for &(a, b) in new_arcs {
             let hub = out.rank_of[b as usize];
-            add_out.extend(ancestors_of(dag, &[a]).into_iter().map(|u| (u, hub)));
-            add_in.extend(descendants_of(dag, &[b]).into_iter().map(|v| (v, hub)));
+            add_out.extend(reach_reference(dag.in_csr(), &[a]).into_iter().map(|u| (u, hub)));
+            add_in.extend(reach_reference(dag.out_csr(), &[b]).into_iter().map(|v| (v, hub)));
         }
         merge_into_csr(&mut out.out_offsets, &mut out.out_hubs, add_out);
         merge_into_csr(&mut out.in_offsets, &mut out.in_hubs, add_in);
         out
+    }
+
+    /// Every component `sources` reach along `arcs` (sources included),
+    /// sorted: the plain search [`Walker`] must agree with.
+    fn reach_reference(arcs: &Csr, sources: &[V]) -> Vec<V> {
+        let mut seen: std::collections::BTreeSet<V> = sources.iter().copied().collect();
+        let mut stack: Vec<V> = seen.iter().copied().collect();
+        while let Some(c) = stack.pop() {
+            stack.extend(arcs.neighbors(c).iter().filter(|&&d| seen.insert(d)));
+        }
+        seen.into_iter().collect()
     }
 
     /// The full-walk realign [`SupportLayer::realigned`] replaced, kept as
@@ -1758,6 +1791,56 @@ mod tests {
                 assert_eq!(LabelLayer::build(&dag, budget), want, "dag {i}: budget {budget}");
             }
         }
+    }
+
+    /// Walks on one walker, alternating directions, each reach exactly the
+    /// reference set, also right after a walk its callback stopped: a stop
+    /// still clears every mark the walk made.
+    #[test]
+    fn walker_stays_exact_across_consecutive_and_stopped_walks() {
+        let mut rng = SplitMix64::new(0x3a1c);
+        for i in 0..12u64 {
+            let dag = if i % 2 == 0 { random_dag(i) } else { shuffled_dag(300, 900, &mut rng) };
+            let mut walker = Walker::new(dag.n());
+            for round in 0..4 {
+                let sources: Vec<V> =
+                    (0..1 + round % 3).map(|_| rng.next_below(dag.n() as u64) as V).collect();
+                for (walk, arcs) in
+                    [dag.out_csr(), dag.in_csr(), dag.out_csr()].into_iter().enumerate()
+                {
+                    let at = format!("dag {i} round {round} walk {walk}");
+                    let want = reach_reference(arcs, &sources);
+                    let mut got = Vec::new();
+                    let ran_out = walker.walk(arcs, &sources, |c| {
+                        got.push(c);
+                        Step::Expand
+                    });
+                    got.sort_unstable();
+                    assert!(ran_out && got == want, "{at}: {got:?} != {want:?}");
+                    // The same walk again, stopped halfway.
+                    let (mut visits, stop_after) = (0usize, want.len() / 2);
+                    let ran_out = walker.walk(arcs, &sources, |_| {
+                        visits += 1;
+                        if visits > stop_after {
+                            Step::Stop
+                        } else {
+                            Step::Expand
+                        }
+                    });
+                    assert!(!ran_out && visits == stop_after + 1, "{at}: no stop");
+                }
+            }
+        }
+    }
+
+    /// Ancestors of `sources` (sources included) in `dag`.
+    fn ancestors_of(dag: &DiGraph, sources: &[V]) -> Vec<V> {
+        let mut out = Vec::new();
+        Walker::new(dag.n()).walk(dag.in_csr(), sources, |c| {
+            out.push(c);
+            Step::Expand
+        });
+        out
     }
 
     #[test]

@@ -95,6 +95,7 @@
 
 use crate::explain::PlanExplain;
 use crate::index::Index;
+use crate::layers::{Step, Walker};
 use pscc_core::{parallel_scc, SccConfig};
 use pscc_graph::{DiGraph, V};
 
@@ -351,12 +352,8 @@ fn plan_repair_inner(
     // Merge region: descendants(cycle targets) ∩ ancestors(cycle
     // sources), estimated with early exit once it cannot fit the budget.
     let cap = budget.max_region(index.num_components());
-    let mut targets: Vec<V> = cyclic.iter().map(|&(_, t)| t).collect();
-    let mut sources: Vec<V> = cyclic.iter().map(|&(s, _)| s).collect();
-    targets.sort_unstable();
-    targets.dedup();
-    sources.sort_unstable();
-    sources.dedup();
+    let targets: Vec<V> = cyclic.iter().map(|&(_, t)| t).collect();
+    let sources: Vec<V> = cyclic.iter().map(|&(s, _)| s).collect();
     let Some(region) = bounded_region(index.dag(), &targets, &sources, cap) else {
         ex.reject("region_recompute", "merge region exceeds the budget");
         return RepairPlan::FullRebuild { reason: RebuildReason::RegionOverBudget };
@@ -418,63 +415,46 @@ fn classify_deletions(index: &Index, del: &[(V, V)]) -> DeletionClass {
 
 /// `descendants(targets) ∩ ancestors(sources)` over `dag`, or `None` as
 /// soon as the result provably exceeds `cap`. The forward cone is
-/// collected first (bailing past `cap·8` visited components — the cone
-/// bounds the intersection, and a loose factor keeps a big cone from
-/// spuriously failing a small region); the backward sweep then walks only
-/// inside it, so its cost is bounded by the cone, not the whole DAG.
+/// collected first (bailing past `cap·8` components — the cone bounds the
+/// intersection, and a loose factor keeps a big cone from spuriously
+/// failing a small region; the region holds every target, so more than
+/// `cap·8` targets fail it either way); the backward sweep then walks
+/// only inside it, so its cost is bounded by the cone, not the whole DAG.
 fn bounded_region(dag: &DiGraph, targets: &[V], sources: &[V], cap: usize) -> Option<Vec<u32>> {
-    let k = dag.n();
-    let mut in_cone = vec![false; k];
-    let mut visited = 0usize;
-    let mut stack: Vec<V> = Vec::new();
-    let cone_cap = cap.saturating_mul(8).max(cap);
-    for &t in targets {
-        if !in_cone[t as usize] {
-            in_cone[t as usize] = true;
-            visited += 1;
-            stack.push(t);
+    let mut walker = Walker::new(dag.n());
+    let mut in_cone = vec![false; dag.n()];
+    let (cone_cap, mut cone) = (cap.saturating_mul(8).max(cap), 0usize);
+    let cone_fits = walker.walk(dag.out_csr(), targets, |c| {
+        in_cone[c as usize] = true;
+        cone += 1;
+        if cone > cone_cap {
+            Step::Stop
+        } else {
+            Step::Expand
         }
-    }
-    while let Some(c) = stack.pop() {
-        for &d in dag.out_neighbors(c) {
-            if !in_cone[d as usize] {
-                if visited >= cone_cap {
-                    return None;
-                }
-                in_cone[d as usize] = true;
-                visited += 1;
-                stack.push(d);
-            }
-        }
-    }
-    // Backward from the sources, never leaving the cone.
-    let mut in_region = vec![false; k];
-    let mut region: Vec<u32> = Vec::new();
-    for &s in sources {
-        debug_assert!(in_cone[s as usize], "a cycle source is reachable from its target");
-        if !in_region[s as usize] {
-            in_region[s as usize] = true;
-            region.push(s);
-            stack.push(s);
-        }
-    }
-    while let Some(c) = stack.pop() {
-        for &p in dag.in_neighbors(c) {
-            if in_cone[p as usize] && !in_region[p as usize] {
-                if region.len() >= cap {
-                    return None;
-                }
-                in_region[p as usize] = true;
-                region.push(p);
-                stack.push(p);
-            }
-        }
-    }
-    if region.len() > cap {
+    });
+    if !cone_fits {
         return None;
     }
+    debug_assert!(
+        sources.iter().all(|&s| in_cone[s as usize]),
+        "a cycle source is reachable from its target"
+    );
+    // Backward from the sources, never leaving the cone.
+    let mut region: Vec<u32> = Vec::new();
+    let region_fits = walker.walk(dag.in_csr(), sources, |c| {
+        if !in_cone[c as usize] {
+            return Step::Prune;
+        }
+        region.push(c);
+        if region.len() > cap {
+            Step::Stop
+        } else {
+            Step::Expand
+        }
+    });
     region.sort_unstable();
-    Some(region)
+    region_fits.then_some(region)
 }
 
 #[cfg(test)]

@@ -30,6 +30,11 @@
 //! calling thread: counters allocated inside worker tasks stay in those
 //! threads' malloc arenas and raise the served RSS.
 //!
+//! A fifth holds a **label-tier arc splice** through `Catalog::apply_delta`
+//! on a DAG of over 2¹⁶ components: one-, 16- and 64-arc splices make
+//! nearly the same number of allocations of at least `k` bytes, because
+//! every walk of every arc shares one seen array.
+//!
 //! Release-only: CI runs this file in its `cargo test --release` step.
 
 use parallel_scc::graph::generators::lattice::lattice_sqr;
@@ -293,6 +298,60 @@ fn index_build_after_the_kernel_allocates_in_proportion_to_the_dag() {
             kernel_wide,
             "{name}: an allocation of at least 16 · m_dag = {} B after the kernel",
             16 * m_dag
+        );
+    }
+}
+
+/// Allocations of at least `k` bytes a 16- or 64-arc label-tier splice may
+/// make beyond a one-arc splice on the same entry: 5 and 11 measured. They
+/// grow with the size of the label patch, not with the arc count: the
+/// doublings of the two lists that collect the walks' hub entries and of
+/// the merge's touched-row lists, and the scratch of one sort per side.
+/// The walker's seen array is one per splice; each arc used to add two
+/// `k`-byte arrays of its own, 30 more at 16 arcs and 126 more at 64.
+const SPLICE_WIDE_SLACK: u64 = 16;
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "sized for release builds; CI runs it with --release")]
+fn a_label_splice_allocates_one_walk_array_whatever_its_arc_count() {
+    use parallel_scc::engine::{BatchOptions, DeltaOutcome};
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let cfg = IndexConfig { bitset_budget_bytes: 0, label_min_components: 0, ..Default::default() };
+    let g = rmat_digraph(17, 2 << 17, 1);
+    let n = g.n() as u64;
+    let catalog = Catalog::new();
+    catalog.insert_with_config("g", g, cfg, BatchOptions::default());
+    let k = catalog.index("g").map_or(0, |idx| idx.num_components());
+    assert!(k >= 1 << 16, "expected at least 2^16 components, got {k}");
+    WIDE_BYTES.store(k, Ordering::Relaxed);
+
+    // `arcs` new edges, each climbing in level between two components the
+    // index does not connect yet: a splice that closes no cycle.
+    let mut next = 0u64;
+    let mut splice = |arcs: usize| {
+        let idx = catalog.index("g").expect("indexed");
+        let mut delta = Delta::new();
+        let mut picked = 0;
+        while picked < arcs {
+            next += 1;
+            let (u, v) = ((hash64(next) % n) as V, (hash64(next ^ 0x5eed) % n) as V);
+            let (cu, cv) = (idx.comp(u), idx.comp(v));
+            if idx.level(cu) < idx.level(cv) && !idx.reaches(u, v) {
+                delta.insert(u, v);
+                picked += 1;
+            }
+        }
+        let (_, wide, _, report) = allocated_by(|| catalog.apply_delta("g", &delta));
+        assert_eq!(report.map(|r| r.outcome), Ok(DeltaOutcome::DagSpliced), "{arcs} arcs");
+        wide
+    };
+    let wide = [1, 16, 64].map(&mut splice);
+    eprintln!("k={k}: allocations of at least k bytes for 1 / 16 / 64 arcs: {wide:?}");
+    for (arcs, w) in [16, 64].into_iter().zip(&wide[1..]) {
+        assert!(
+            *w <= wide[0] + SPLICE_WIDE_SLACK,
+            "{arcs} arcs: {w} allocations of at least {k} B, against {} for one arc",
+            wide[0]
         );
     }
 }
