@@ -35,10 +35,25 @@ const RELAXED_ONLY_FILES: &[&str] = &["crates/telemetry/src/metrics.rs"];
 const LOCK_ORDER: &[&str] = &["update", "store", "state"];
 
 /// Calls that must never run inside a `state` guard's scope: the whole
-/// point of the off-lock rebuild protocol (PR 3) is that merges and
-/// index builds happen against `Arc` clones, never under the short-hold
-/// swap lock.
-const BANNED_UNDER_STATE: &[&str] = &["build", "build_with_config", "with_delta", "merge_csr"];
+/// point of the off-lock rebuild protocol (PR 3) is that merges, index
+/// builds and repairs, the repair planner and the store's fsyncing calls
+/// happen against `Arc` clones, never under the short-hold swap lock.
+const BANNED_UNDER_STATE: &[&str] = &[
+    "build",
+    "build_with_config",
+    "build_index",
+    "with_delta",
+    "merge_csr",
+    "plan_repair_explained",
+    "splice_dag_arcs",
+    "recompute_region",
+    "unsplice_dag_arcs",
+    "split_sccs",
+    "append",
+    "compact",
+    "sync_data",
+    "sync_all",
+];
 
 /// `.expect("…")` calls whose message contains one of these substrings
 /// are the blessed poisoned-lock idiom (`expect("entry lock")`,

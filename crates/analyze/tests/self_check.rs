@@ -86,6 +86,16 @@ fn bad(entry: &Entry) {
 }
 "#;
     assert!(rules_fired(src).contains(&RuleId::LockOrder), "build under state guard not caught");
+    let repair = r#"
+fn bad(entry: &Entry, index: &Index) {
+    let mut st = entry.state.lock().expect("entry lock");
+    st.index = Some(index.splice_dag_arcs(&arcs, &ins, &del, &entry.config));
+}
+"#;
+    assert!(
+        rules_fired(repair).contains(&RuleId::LockOrder),
+        "repair under state guard not caught"
+    );
 }
 
 #[test]

@@ -31,7 +31,8 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
-use pscc_engine::catalog::{decode_name, encode_name};
+use pscc_engine::catalog::encode_name;
+use pscc_engine::recovery::store_dirs;
 use pscc_engine::{Index, QueryBatch};
 use pscc_graph::{DiGraph, V};
 use pscc_store::inspect;
@@ -114,43 +115,23 @@ pub fn diagnose(data_dir: &Path, timeline: usize) -> io::Result<Diagnosis> {
 }
 
 /// The graph store subdirectories of `data_dir`, as
-/// `(decoded name, path)` sorted by name. Directories without store
-/// files (backups, `lost+found`) are skipped, mirroring recovery's scan.
+/// `(decoded name, path)` sorted by name — recovery's scan
+/// ([`pscc_engine::recovery::store_dirs`]), except that an unreadable
+/// subdirectory is an error and an undecodable name is labeled instead of
+/// refused.
 fn graph_dirs(data_dir: &Path) -> io::Result<Vec<(String, PathBuf)>> {
-    let mut out: Vec<(String, PathBuf)> = Vec::new();
-    for entry in std::fs::read_dir(data_dir)? {
-        let entry = entry?;
-        if !entry.file_type()?.is_dir() {
-            continue;
-        }
-        let path = entry.path();
-        if !holds_store_files(&path)? {
-            continue;
-        }
-        let raw = entry.file_name().to_string_lossy().into_owned();
-        let name = decode_name(&raw)
-            .filter(|n| encode_name(n) == raw)
-            .unwrap_or_else(|| format!("<undecodable: {raw}>"));
-        out.push((name, path));
-    }
+    let mut out: Vec<(String, PathBuf)> = store_dirs(data_dir, false)?
+        .into_iter()
+        .map(|(path, name)| {
+            let name = name.unwrap_or_else(|| {
+                let raw = path.file_name().unwrap_or_default().to_string_lossy();
+                format!("<undecodable: {raw}>")
+            });
+            (name, path)
+        })
+        .collect();
     out.sort();
     Ok(out)
-}
-
-/// True if `dir` holds a write-ahead log or snapshot files.
-fn holds_store_files(dir: &Path) -> io::Result<bool> {
-    if dir.join(inspect::WAL_FILE_NAME).exists() {
-        return Ok(true);
-    }
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        if let Some(n) = entry.file_name().to_str() {
-            if n.starts_with("snapshot-") && n.ends_with(".pscc") {
-                return Ok(true);
-            }
-        }
-    }
-    Ok(false)
 }
 
 /// Validates one graph store: snapshot lineage, WAL scan, and

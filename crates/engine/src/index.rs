@@ -1000,6 +1000,56 @@ mod tests {
         }
     }
 
+    /// An arc unsplice on the label tier relabels from scratch, and a
+    /// relabel past `label_budget_bytes` downgrades the index to the
+    /// interval tier. With the budget set to the fresh labeling's own size,
+    /// every dead-arc deletion whose relabel is larger takes that branch;
+    /// a seeded family of small DAGs must hold at least one, and each
+    /// downgraded index must answer every pair like BFS.
+    #[test]
+    fn unsplice_past_the_label_budget_downgrades_to_intervals() {
+        const N: usize = 24;
+        let mut downgrades = 0;
+        for seed in 0..16u64 {
+            // Every vertex its own component, every edge its arc's only
+            // support: deleting any edge kills its arc.
+            let mut edges: Vec<(V, V)> = gnm_digraph(N, 60, seed)
+                .out_csr()
+                .edges()
+                .filter(|&(a, b)| a != b)
+                .map(|(a, b)| (a.min(b), a.max(b)))
+                .collect();
+            edges.sort_unstable();
+            edges.dedup();
+            let g = DiGraph::from_edges(N, &edges);
+            let fresh = Index::build_with_config(&g, &label_forcing());
+            let cfg =
+                IndexConfig { label_budget_bytes: fresh.stats().summary_bytes, ..label_forcing() };
+            let idx = Index::build_with_config(&g, &cfg);
+            assert_eq!(idx.tier(), SummaryTier::Labels);
+            for &(u, v) in &edges {
+                let dead = [(idx.comp(u), idx.comp(v))];
+                let patched = idx.unsplice_dag_arcs(&dead, &[(u, v)], &cfg);
+                if patched.tier() != SummaryTier::Intervals {
+                    continue;
+                }
+                downgrades += 1;
+                let merged = g.with_delta(&[], &[(u, v)]);
+                for a in 0..N as V {
+                    for b in 0..N as V {
+                        let want = bfs_reaches(&merged, a, b);
+                        assert_eq!(
+                            patched.reaches(a, b),
+                            want,
+                            "seed {seed} -({u}, {v}): ({a}, {b})"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(downgrades > 0, "no dead-arc deletion in the family outgrew its labeling");
+    }
+
     /// `split_sccs` must detect a component that stays whole (`None`) and
     /// otherwise answer like a from-scratch build on the split graph.
     #[test]

@@ -900,21 +900,12 @@ impl SummaryLayer {
                 return SummaryLayer::Labels(labels);
             }
             // Relabel overflowed the budget (possible when the repair also
-            // spliced latent arcs in): downgrade to the interval tier. An
-            // index DAG is acyclic by construction, so the order exists;
-            // the unbounded relabel is the (unreachable) sound fallback.
-            return match pscc_apps::topological_order(dag) {
-                Some(order) => SummaryLayer::Intervals {
-                    labelings: build_labelings(dag, &order, cfg.labelings.max(1), cfg.seed),
-                    exceptions: build_exceptions(dag, &order, cfg.exception_cap),
-                },
-                None => {
-                    debug_assert!(false, "index DAG must stay acyclic");
-                    match LabelLayer::build(dag, usize::MAX) {
-                        Some(labels) => SummaryLayer::Labels(labels),
-                        None => self.clone(),
-                    }
-                }
+            // spliced latent arcs in): downgrade to the interval tier.
+            // analyze: allow(panic): an index DAG is acyclic by construction
+            let order = pscc_apps::topological_order(dag).expect("index DAG must stay acyclic");
+            return SummaryLayer::Intervals {
+                labelings: build_labelings(dag, &order, cfg.labelings.max(1), cfg.seed),
+                exceptions: build_exceptions(dag, &order, cfg.exception_cap),
             };
         }
         self.recompute_affected(dag, changed, levels, cfg.exception_cap)

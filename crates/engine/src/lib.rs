@@ -20,32 +20,22 @@
 //! * [`QueryBatch`] — answers query batches in parallel via the runtime's
 //!   blocked `par_for`, with a concurrent fixed-capacity memo for hot
 //!   component-pair verdicts.
-//! * [`Catalog`] — named graphs with lazily built, invalidatable indexes.
-//!   Merges and index builds run **off-lock** with a generation counter
-//!   (queries keep answering from the current index during a multi-second
-//!   rebuild; a racing delta is detected, never lost — see
-//!   [`catalog`]), and any entry can be made durable: [`Catalog::persist_to`]
-//!   attaches a `pscc-store` snapshot + write-ahead log, after which
-//!   deltas are fsynced before they return and [`Catalog::open`] recovers
-//!   the whole catalog after a restart (torn log tails truncated), with
-//!   background compaction under a [`CompactionPolicy`].
+//! * [`Catalog`] — named graphs with lazily built, invalidatable indexes,
+//!   across three modules: [`catalog`] (the name map, the public API,
+//!   [`BatchSubmitter`] and the maintenance worker), [`entry`] (one
+//!   graph's entry and its generation protocol: merges and index builds
+//!   run **off-lock**, queries keep answering from the current index
+//!   during a multi-second rebuild, and a racing delta is detected, never
+//!   lost) and [`recovery`] ([`Catalog::open`] recovers a catalog whose
+//!   entries [`Catalog::persist_to`] made durable with a `pscc-store`
+//!   snapshot + write-ahead log; background compaction runs under a
+//!   [`CompactionPolicy`]).
 //! * [`Delta`] — batched edge updates applied through
-//!   [`Catalog::apply_delta`]: the delta is normalized
-//!   ([`Delta::normalized`]), the graph merged in parallel
-//!   (`DiGraph::with_delta`), and the index repaired *incrementally* by
-//!   the tiered planner ([`planner`]). Insertions: absorb (answers
-//!   provably unchanged, index kept) → condensation arc splice (SCC
-//!   labels kept, levels/summary patched for affected ancestors) →
-//!   region SCC recompute (the SCC algorithm re-runs on just the
-//!   affected DAG region). Deletions, against a per-arc edge-support
-//!   table: support decrement (a parallel edge or the DAG still
-//!   witnesses the arc — metadata only, index kept) → DAG-arc unsplice
-//!   (the last support died: drop the arc, relax levels, narrow
-//!   summaries for affected ancestors) → SCC split check (an intra-SCC
-//!   deletion: SCC re-runs on just that component's members and the
-//!   sub-components are spliced back). The cost-bounded full rebuild
-//!   remains only for mixed structural deltas and repairs past the
-//!   [`RepairBudget`]. Which tier ran comes back in the
+//!   [`Catalog::apply_delta`]: normalized ([`Delta::normalized`]), merged
+//!   into the graph in parallel (`DiGraph::with_delta`), and repaired
+//!   *incrementally* by the cheapest provably correct tier of the
+//!   [`planner`]; the full rebuild is left for mixed structural deltas and
+//!   repairs past the [`RepairBudget`]. Which tier ran comes back in the
 //!   [`DeltaReport`].
 //!
 //! ```
@@ -70,10 +60,12 @@
 pub mod batch;
 pub mod catalog;
 pub mod delta;
+pub mod entry;
 pub mod explain;
 pub mod index;
 mod layers;
 pub mod planner;
+pub mod recovery;
 
 pub use batch::{BatchOptions, BatchStats, QueryBatch};
 pub use catalog::{BatchSubmitter, Catalog, CompactionPolicy};

@@ -13,7 +13,7 @@ use std::path::{Path, PathBuf};
 
 use pscc_graph::DiGraph;
 
-use crate::snapshot::{parse_snapshot_name, read_snapshot};
+use crate::snapshot::{read_snapshot, snapshot_seqs};
 use crate::wal;
 use crate::{DeltaRecord, StoreMeta};
 
@@ -52,14 +52,7 @@ pub struct SnapshotContents {
 /// whole file), but nothing is modified or deleted — unlike recovery,
 /// which sweeps `.tmp` debris.
 pub fn list_snapshots(dir: &Path) -> io::Result<Vec<SnapshotInfo>> {
-    let mut seqs: Vec<u64> = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        if let Some(seq) = entry.file_name().to_str().and_then(parse_snapshot_name) {
-            seqs.push(seq);
-        }
-    }
-    seqs.sort_unstable_by(|a, b| b.cmp(a));
+    let seqs = snapshot_seqs(dir)?;
     let mut out = Vec::with_capacity(seqs.len());
     for seq in seqs {
         let path = dir.join(crate::snapshot::snapshot_file_name(seq));

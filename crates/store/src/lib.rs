@@ -42,7 +42,7 @@ use std::sync::Mutex;
 
 use pscc_graph::{DiGraph, V};
 
-use snapshot::{parse_snapshot_name, read_snapshot, snapshot_file_name, sync_dir, write_snapshot};
+use snapshot::{read_snapshot, snapshot_file_name, snapshot_seqs, sync_dir, write_snapshot};
 use wal::Wal;
 
 /// Cached handle for the `pscc_store_compaction_nanos` histogram.
@@ -186,19 +186,20 @@ impl Store {
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(false),
             Err(e) => return Err(e),
         };
-        if !header_only {
-            return Ok(false);
-        }
         // Snapshot *presence* (not validity!): an empty log next to a
         // snapshot file that merely fails validation is data loss and
         // must stay a loud recovery error, never "aborted, wipe it".
-        for entry in std::fs::read_dir(dir)? {
-            let entry = entry?;
-            if entry.file_name().to_str().and_then(parse_snapshot_name).is_some() {
-                return Ok(false);
-            }
-        }
-        Ok(true)
+        Ok(header_only && snapshot_seqs(dir)?.is_empty())
+    }
+
+    /// True if `dir` holds store files — a write-ahead log or a file named
+    /// like a snapshot — whether or not they validate. The "is this a
+    /// store?" test for the subdirectories of a catalog data dir, so
+    /// unrelated directories (`lost+found`, backups) can be told apart.
+    /// Fails if `dir` cannot be listed.
+    pub fn holds_store_files(dir: impl AsRef<Path>) -> io::Result<bool> {
+        let dir = dir.as_ref();
+        Ok(dir.join(WAL_FILE).exists() || !snapshot_seqs(dir)?.is_empty())
     }
 
     /// Opens an existing store: loads the newest valid snapshot, scans the
@@ -361,20 +362,11 @@ struct Snapshot {
 /// still exists. Returns the parsed result so recovery never reads the
 /// winning file twice.
 fn newest_snapshot(dir: &Path) -> io::Result<Option<Snapshot>> {
-    let mut seqs: Vec<u64> = Vec::new();
-    match std::fs::read_dir(dir) {
-        Ok(entries) => {
-            for entry in entries {
-                let entry = entry?;
-                if let Some(seq) = entry.file_name().to_str().and_then(parse_snapshot_name) {
-                    seqs.push(seq);
-                }
-            }
-        }
+    let seqs = match snapshot_seqs(dir) {
+        Ok(seqs) => seqs,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e),
-    }
-    seqs.sort_unstable_by(|a, b| b.cmp(a));
+    };
     for seq in seqs {
         let path = dir.join(snapshot_file_name(seq));
         if let Ok((graph, meta, snap_seq)) = read_snapshot(&path) {
@@ -511,13 +503,7 @@ mod tests {
         assert_eq!(recovery.meta.generation, 2);
         assert_eq!(recovery.replayed, vec![rec(&[(7, 0)], &[])]);
         // Exactly one snapshot file remains.
-        let snaps = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter(|e| {
-                parse_snapshot_name(e.as_ref().unwrap().file_name().to_str().unwrap()).is_some()
-            })
-            .count();
-        assert_eq!(snaps, 1);
+        assert_eq!(snapshot_seqs(&dir).unwrap().len(), 1);
         std::fs::remove_dir_all(dir).ok();
     }
 

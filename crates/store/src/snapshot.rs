@@ -85,6 +85,19 @@ pub(crate) fn parse_snapshot_name(name: &str) -> Option<u64> {
     name.strip_prefix("snapshot-")?.strip_suffix(".pscc")?.parse().ok()
 }
 
+/// The sequence numbers of the files in `dir` named like snapshots,
+/// newest first, whether or not they validate.
+pub(crate) fn snapshot_seqs(dir: &Path) -> io::Result<Vec<u64>> {
+    let mut seqs = Vec::new();
+    for entry in std::fs::read_dir(dir)? {
+        if let Some(seq) = entry?.file_name().to_str().and_then(parse_snapshot_name) {
+            seqs.push(seq);
+        }
+    }
+    seqs.sort_unstable_by(|a, b| b.cmp(a));
+    Ok(seqs)
+}
+
 /// Writes a snapshot of `g` + `meta` covering WAL sequence `seq` into
 /// `dir`, atomically (temp file + fsync + rename + dir fsync). Returns
 /// the live path and the file's size in bytes.
