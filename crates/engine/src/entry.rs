@@ -389,14 +389,13 @@ impl Entry {
             None => (DeltaOutcome::Deferred, Slot::Drop),
             Some(index) => {
                 let cfg = &self.config;
-                let (repair, ex) = plan_repair_explained(index, &ins, &del, &cfg.repair);
+                let (repair, ex) = plan_repair_explained(index, &ins, &del);
                 explain = Some(ex);
                 let repaired = match repair {
                     RepairPlan::Absorb => None,
-                    RepairPlan::DagSplice { arcs } => Some((
-                        index.splice_dag_arcs(&arcs, &ins, &del, cfg),
-                        DeltaOutcome::DagSpliced,
-                    )),
+                    RepairPlan::DagSplice { arcs } => {
+                        Some((index.splice_dag_arcs(&arcs, &ins, &del), DeltaOutcome::DagSpliced))
+                    }
                     RepairPlan::RegionRecompute { region, arcs } => Some((
                         index.recompute_region(&region, &arcs, &ins, &del, cfg),
                         DeltaOutcome::RegionRecomputed,
@@ -648,20 +647,12 @@ mod tests {
 
     #[test]
     fn merging_delta_past_the_region_budget_rebuilds() {
-        let cfg = IndexConfig {
-            repair: crate::planner::RepairBudget {
-                region_frac: 0.1,
-                min_region: 2,
-                ..crate::planner::RepairBudget::default()
-            },
-            ..IndexConfig::default()
-        };
         let cat = Catalog::new();
-        cat.insert_with_config("g", path_digraph(50), cfg, BatchOptions::default());
+        cat.insert("g", path_digraph(100));
         let before = cat.index("g").unwrap();
-        // Closing the whole 50-component path is past the 10% budget.
+        // Closing the whole 100-component path is past max(100 / 4, 32).
         let mut d = Delta::new();
-        d.insert(49, 0);
+        d.insert(99, 0);
         let report = cat.apply_delta("g", &d).unwrap();
         assert_eq!(report.outcome, DeltaOutcome::Rebuilt);
         let after = cat.index("g").unwrap();
@@ -806,17 +797,10 @@ mod tests {
 
     #[test]
     fn oversized_split_component_falls_back_to_rebuild() {
-        // One big cycle; a tiny region budget prices the split check out.
-        let cfg = IndexConfig {
-            repair: crate::planner::RepairBudget {
-                region_frac: 0.05,
-                min_region: 2,
-                ..crate::planner::RepairBudget::default()
-            },
-            ..IndexConfig::default()
-        };
+        // One 200-vertex cycle: past max(200 / 4, 32), so the split check
+        // is priced out.
         let cat = Catalog::new();
-        cat.insert_with_config("g", cycle_digraph(100), cfg, BatchOptions::default());
+        cat.insert("g", cycle_digraph(200));
         let before = cat.index("g").unwrap();
         let mut d = Delta::new();
         d.delete(40, 41);

@@ -15,7 +15,7 @@
 //!   and [`Catalog::answer_batch_explained`](crate::Catalog::answer_batch_explained).
 //! * [`PlanExplain`] — per-delta: the cost-model inputs the planner saw
 //!   (deletion classification, support-table state, contracted arc
-//!   counts, region size, budget) and every cheaper tier it rejected,
+//!   counts, region size, region bound) and every cheaper tier it rejected,
 //!   with the reason. Produced by
 //!   [`plan_repair_explained`](crate::planner::plan_repair_explained)
 //!   and journaled with its delta by [`Catalog::apply_delta`](crate::Catalog::apply_delta)
@@ -100,7 +100,9 @@ impl QueryExplain {
 /// measured, which cheaper tiers it rejected and why, and what it chose.
 ///
 /// Counts refer to the *contracted* view (condensation arcs and
-/// components), not raw edges, matching the quantities the budget prices.
+/// components), not raw edges, matching the quantities the planner's
+/// bounds price; `split_vertices` and a split check's `max_region` are
+/// the exception, in vertices.
 #[derive(Clone, Debug, Default)]
 pub struct PlanExplain {
     /// Effective edge insertions in the delta.
@@ -114,19 +116,19 @@ pub struct PlanExplain {
     pub dead_arcs: usize,
     /// Components an intra-SCC deletion may split.
     pub split_comps: usize,
-    /// Total vertices in those components (what the split budget prices).
+    /// Total vertices in those components (what a split check's `max_region` bounds).
     pub split_vertices: usize,
     /// Distinct non-absorbable new condensation arcs.
     pub new_arcs: usize,
     /// How many of those close a cycle among components.
     pub cyclic_arcs: usize,
     /// Size of the computed merge region in components (0 when no region
-    /// was computed or it overran the budget).
+    /// was computed or it overran `max_region`).
     pub region_size: usize,
-    /// Budget: [`RepairBudget::max_planned_arcs`](crate::RepairBudget::max_planned_arcs).
-    pub max_planned_arcs: usize,
-    /// Budget: [`RepairBudget::max_region`](crate::RepairBudget::max_region)
-    /// at the index's current size.
+    /// The largest repair the planner runs in place, `max(size / 4, 32)`:
+    /// in components (`size` = the index's components) for a merge region,
+    /// in vertices (`size` = the graph's vertices) once a split check is
+    /// priced. The other bound, 128 new or dead arcs, is a constant.
     pub max_region: usize,
     /// Cheaper tiers rejected on the way down, as `(tier, why)` pairs in
     /// rejection order.
@@ -161,7 +163,6 @@ impl PlanExplain {
             ("new_arcs", self.new_arcs.to_string()),
             ("cyclic_arcs", self.cyclic_arcs.to_string()),
             ("region_size", self.region_size.to_string()),
-            ("max_planned_arcs", self.max_planned_arcs.to_string()),
             ("max_region", self.max_region.to_string()),
             ("rejected", rejected),
         ]

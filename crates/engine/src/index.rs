@@ -23,11 +23,11 @@
 //!      merge-intersection of `label_out(cu)` and `label_in(cv)` — no
 //!      DFS fallback, O(label length).
 //!    * *Interval tier* (large DAGs past the label budget): GRAIL-style
-//!      pruned-DFS interval
-//!      labels (d independent randomized post-order labelings; reachable ⇒
-//!      the target's interval nests inside the source's in *every*
-//!      labeling), plus exact *exception lists* — components whose strict
-//!      descendant set is small carry it verbatim, answering exactly.
+//!      pruned-DFS interval labels (two independent randomized post-order
+//!      labelings; reachable ⇒ the target's interval nests inside the
+//!      source's in *every* labeling), plus exact *exception lists* —
+//!      components with at most 16 strict descendants carry them
+//!      verbatim, answering exactly.
 //!      Queries that survive every prune fall back to an interval- and
 //!      level-pruned DFS over the condensation DAG. O(log) typical,
 //!      DAG-bounded worst case.
@@ -47,7 +47,7 @@
 //! provably cannot have touched.
 
 use crate::explain::QueryTier;
-use crate::layers::{LevelLayer, SccLayer, SummaryConfig, SummaryLayer, SupportLayer};
+use crate::layers::{LevelLayer, SccLayer, SummaryLayer, SupportLayer};
 use pscc_apps::{condense_scc, topological_order, Condensation};
 use pscc_core::{dense_components, parallel_scc, parallel_scc_induced, SccConfig};
 use pscc_graph::{csr_from_weighted_arcs, merge_csr, Csr, DiGraph, V};
@@ -56,11 +56,12 @@ use std::time::Instant;
 
 pub use crate::layers::SummaryTier;
 
-/// Build-time configuration for an [`Index`].
+/// Build-time configuration for an [`Index`]: the budgets that pick its
+/// summary tier. The SCC kernel runs with `SccConfig::default()`; the
+/// interval tier's labelings and the repair planner's bounds are
+/// constants of their modules.
 #[derive(Clone, Debug)]
 pub struct IndexConfig {
-    /// Configuration of the underlying parallel SCC run.
-    pub scc: SccConfig,
     /// Ceiling (in bytes) on the bitset tier; DAGs whose full descendant
     /// bitsets would exceed it use the label or interval tier instead.
     pub bitset_budget_bytes: usize,
@@ -73,43 +74,14 @@ pub struct IndexConfig {
     /// considered, so small graphs keep the exact bitset/interval
     /// behavior unchanged.
     pub label_min_components: usize,
-    /// Number of independent interval labelings in the interval tier
-    /// (more labelings prune more, cost more memory).
-    pub labelings: usize,
-    /// Components with at most this many strict descendants store them as
-    /// an exact exception list in the interval tier (0 disables).
-    pub exception_cap: usize,
-    /// Seed for the randomized labeling orders.
-    pub seed: u64,
-    /// Cost bounds of the delta repair planner (see
-    /// [`crate::planner::RepairBudget`]).
-    pub repair: crate::planner::RepairBudget,
 }
 
 impl Default for IndexConfig {
     fn default() -> Self {
         IndexConfig {
-            scc: SccConfig::default(),
             bitset_budget_bytes: 64 << 20,
             label_budget_bytes: 64 << 20,
             label_min_components: 4096,
-            labelings: 2,
-            exception_cap: 16,
-            seed: 0x5cc_1dec5,
-            repair: crate::planner::RepairBudget::default(),
-        }
-    }
-}
-
-impl IndexConfig {
-    fn summary(&self) -> SummaryConfig {
-        SummaryConfig {
-            bitset_budget_bytes: self.bitset_budget_bytes,
-            label_budget_bytes: self.label_budget_bytes,
-            label_min_components: self.label_min_components,
-            labelings: self.labelings,
-            exception_cap: self.exception_cap,
-            seed: self.seed,
         }
     }
 }
@@ -160,7 +132,8 @@ pub struct Index {
     levels: LevelLayer,
     dag: DiGraph,
     summary: SummaryLayer,
-    stats: IndexStats,
+    /// The build timings; [`Index::stats`] derives the shape figures.
+    timings: IndexStats,
     /// Direct-edge multiplicities per cross-component pair plus latent
     /// pairs — the deletion planner's certificate, aligned with `dag`.
     support: Mutex<SupportLayer>,
@@ -175,7 +148,7 @@ impl Index {
     /// Builds an index for `g`, running SCC + condensation + summaries.
     pub fn build_with_config(g: &DiGraph, cfg: &IndexConfig) -> Index {
         let t = Instant::now();
-        let scc = parallel_scc(g, &cfg.scc);
+        let scc = parallel_scc(g, &SccConfig::default());
         let scc_seconds = t.elapsed().as_secs_f64();
 
         // Freeing the kernel's labels is charged to the condense stage.
@@ -185,8 +158,8 @@ impl Index {
         let condense_seconds = t.elapsed().as_secs_f64();
 
         let mut index = Self::from_condensation(cond, cfg);
-        index.stats.scc_seconds = scc_seconds;
-        index.stats.condense_seconds = condense_seconds;
+        index.timings.scc_seconds = scc_seconds;
+        index.timings.condense_seconds = condense_seconds;
         index
     }
 
@@ -219,33 +192,24 @@ impl Index {
         let levels_seconds = t.elapsed().as_secs_f64();
 
         let t = Instant::now();
-        let (summary, summary_bytes, exception_components) =
-            SummaryLayer::build(&dag, &order, &cfg.summary());
+        let summary = SummaryLayer::build(&dag, &order, cfg);
         let summary_seconds = t.elapsed().as_secs_f64();
 
-        let mut stats = IndexStats {
-            levels_seconds,
-            num_components: scc.sizes.len(),
-            dag_arcs: dag.m(),
-            summary_bytes,
-            exception_components,
-            label_entries: summary.label_entries(),
-            ..base
-        };
-        Self::record_summary_build(&mut stats, &summary, summary_seconds);
-        Index { scc: Arc::new(scc), levels, dag, summary, stats, support: Mutex::new(support) }
+        let mut timings = IndexStats { levels_seconds, ..base };
+        Self::record_summary_build(&mut timings, &summary, summary_seconds);
+        Index { scc: Arc::new(scc), levels, dag, summary, timings, support: Mutex::new(support) }
     }
 
-    /// Charges one from-scratch summary build to `stats`, whose footprint
-    /// fields must already describe `summary`, and on the label tier to the
-    /// build telemetry: the `pscc_label_bytes` and `pscc_label_entries`
-    /// gauges and the `pscc_label_build_nanos` histogram. A fresh assembly
-    /// and the label tier's relabel on an arc unsplice both record here.
-    fn record_summary_build(stats: &mut IndexStats, summary: &SummaryLayer, seconds: f64) {
-        stats.summary_seconds = seconds;
-        if summary.tier() == SummaryTier::Labels {
-            pscc_telemetry::gauge("pscc_label_bytes").set(stats.summary_bytes as i64);
-            pscc_telemetry::gauge("pscc_label_entries").set(stats.label_entries as i64);
+    /// Charges one from-scratch summary build to `timings`, and on the
+    /// label tier to the build telemetry: the `pscc_label_bytes` and
+    /// `pscc_label_entries` gauges and the `pscc_label_build_nanos`
+    /// histogram. A fresh assembly and the label tier's relabel on an arc
+    /// unsplice both record here.
+    fn record_summary_build(timings: &mut IndexStats, summary: &SummaryLayer, seconds: f64) {
+        timings.summary_seconds = seconds;
+        if let SummaryLayer::Labels(labels) = summary {
+            pscc_telemetry::gauge("pscc_label_bytes").set(labels.bytes() as i64);
+            pscc_telemetry::gauge("pscc_label_entries").set(labels.entries() as i64);
             pscc_telemetry::histogram("pscc_label_build_nanos")
                 .record(std::time::Duration::from_secs_f64(seconds));
         }
@@ -290,7 +254,6 @@ impl Index {
         arcs: &[(u32, u32)],
         ins: &[(V, V)],
         del: &[(V, V)],
-        cfg: &IndexConfig,
     ) -> Index {
         let mut arcs: Vec<(V, V)> = arcs.to_vec();
         pscc_graph::dedup_edges(&mut arcs);
@@ -299,22 +262,16 @@ impl Index {
         levels.splice(&dag, &arcs);
         // Bitsets and intervals repair the new DAG's ancestors of the arcs'
         // sources; the label tier patches from the arcs alone.
-        let summary = self.summary.splice_arcs(&dag, &arcs, &levels.levels, &cfg.summary());
+        let summary = self.summary.splice_arcs(&dag, &arcs, &levels.levels);
 
         let mut support = self.support_table().realigned(self.dag.out_csr(), dag.out_csr(), &arcs);
         Self::patch_support(&mut support, &self.scc.comp_of, dag.out_csr(), ins, del);
-
-        let mut stats = self.stats.clone();
-        stats.dag_arcs = dag.m();
-        stats.summary_bytes = summary.bytes(dag.n());
-        stats.exception_components = summary.exception_count();
-        stats.label_entries = summary.label_entries();
         Index {
             scc: Arc::clone(&self.scc),
             levels,
             dag,
             summary,
-            stats,
+            timings: self.timings.clone(),
             support: Mutex::new(support),
         }
     }
@@ -348,7 +305,7 @@ impl Index {
             .copied()
             .filter(|&(s, t)| in_region[s as usize] && in_region[t as usize])
             .collect();
-        let labels = parallel_scc_induced(&self.dag, region, &inner, &cfg.scc);
+        let labels = parallel_scc_induced(&self.dag, region, &inner, &SccConfig::default());
         let (groups, group_sizes) = dense_components(&labels);
 
         // Old component id -> new component id, numbered by ascending old
@@ -383,7 +340,7 @@ impl Index {
         Self::patch_support(&mut support, &self.scc.comp_of, &spliced, ins, del);
         let (out, support) = support.contracted(&spliced, &map, k_new);
 
-        Self::assemble(scc, DiGraph::from_out_csr(out), support, cfg, self.stats.clone())
+        Self::assemble(scc, DiGraph::from_out_csr(out), support, cfg, self.timings.clone())
     }
 
     /// Tier-3 repair (deletions): remove condensation arcs whose last
@@ -422,23 +379,19 @@ impl Index {
         // see `SummaryLayer::unsplice_arcs`.
         let relabel = self.summary.tier() == SummaryTier::Labels;
         let t_summary = Instant::now();
-        let summary = self.summary.unsplice_arcs(&dag, &changed, &levels.levels, &cfg.summary());
+        let summary = self.summary.unsplice_arcs(&dag, &changed, &levels.levels, cfg);
         let summary_seconds = t_summary.elapsed().as_secs_f64();
 
-        let mut stats = self.stats.clone();
-        stats.dag_arcs = dag.m();
-        stats.summary_bytes = summary.bytes(dag.n());
-        stats.exception_components = summary.exception_count();
-        stats.label_entries = summary.label_entries();
+        let mut timings = self.timings.clone();
         if relabel {
-            Self::record_summary_build(&mut stats, &summary, summary_seconds);
+            Self::record_summary_build(&mut timings, &summary, summary_seconds);
         }
         Index {
             scc: Arc::clone(&self.scc),
             levels,
             dag,
             summary,
-            stats,
+            timings,
             support: Mutex::new(support),
         }
     }
@@ -489,7 +442,7 @@ impl Index {
         // normalized to first-occurrence order for determinism.
         let (groups, group_counts): (Vec<Vec<u32>>, Vec<usize>) = members
             .iter()
-            .map(|m| dense_components(&parallel_scc_induced(merged, m, &[], &cfg.scc)))
+            .map(|m| dense_components(&parallel_scc_induced(merged, m, &[], &SccConfig::default())))
             .map(|(group_of, sizes)| (group_of, sizes.len()))
             .unzip();
         if group_counts.iter().all(|&c| c <= 1) && dead.is_empty() {
@@ -579,7 +532,7 @@ impl Index {
         let (out, arc_counts) = csr_from_weighted_arcs(k_new, arcs);
 
         let support = SupportLayer::new(arc_counts);
-        Some(Self::assemble(scc, DiGraph::from_out_csr(out), support, cfg, self.stats.clone()))
+        Some(Self::assemble(scc, DiGraph::from_out_csr(out), support, cfg, self.timings.clone()))
     }
 
     /// Records one absorbed delta: the index is kept because every
@@ -632,11 +585,17 @@ impl Index {
     /// Build-cost and shape statistics (a snapshot: the arc-support
     /// figures advance as the catalog absorbs deltas into this index).
     pub fn stats(&self) -> IndexStats {
-        let mut s = self.stats.clone();
         let support = self.support_table();
-        s.supported_pairs = support.supported_pairs();
-        s.latent_arcs = support.latent_arcs();
-        s
+        IndexStats {
+            num_components: self.num_components(),
+            dag_arcs: self.dag.m(),
+            summary_bytes: self.summary.bytes(self.num_components()),
+            exception_components: self.summary.exception_count(),
+            label_entries: self.summary.label_entries(),
+            supported_pairs: support.supported_pairs(),
+            latent_arcs: support.latent_arcs(),
+            ..self.timings.clone()
+        }
     }
 
     /// The arc-support table as `(pair, multiplicity, latent)` rows (DAG
@@ -718,6 +677,15 @@ mod tests {
         }
     }
 
+    /// A repaired index has the component count and DAG arcs of a scratch
+    /// build over `merged` (the repairs below leave no latent pair, so
+    /// every supported pair is an arc on both sides).
+    fn assert_same_shape(patched: &Index, merged: &DiGraph, cfg: &IndexConfig) {
+        let (got, want) = (patched.stats(), Index::build_with_config(merged, cfg).stats());
+        assert_eq!(got.num_components, want.num_components, "{:?}", patched.tier());
+        assert_eq!(got.dag_arcs, want.dag_arcs, "{:?}", patched.tier());
+    }
+
     fn tiny_budget() -> IndexConfig {
         // Forces the interval tier even on tiny DAGs (the label tier needs
         // an explicit opt-in via `label_min_components`, so it stays off).
@@ -776,12 +744,34 @@ mod tests {
         }
     }
 
+    /// Random DAGs oriented low -> high, where the low components have
+    /// far more than 16 strict descendants: no exception list answers for
+    /// them, so their queries reach the interval labels and the pruned DFS.
     #[test]
     fn interval_tier_without_exceptions_matches_oracle() {
-        let cfg = IndexConfig { exception_cap: 0, ..tiny_budget() };
+        let (mut refuted, mut searched) = (0, 0);
         for seed in 0..3u64 {
-            check_all_pairs(&gnm_digraph(50, 120, seed + 200), &cfg);
+            let arcs: Vec<(V, V)> = gnm_digraph(80, 240, seed + 200)
+                .out_csr()
+                .edges()
+                .filter(|&(a, b)| a != b)
+                .map(|(a, b)| (a.min(b), a.max(b)))
+                .collect();
+            let g = DiGraph::from_edges(80, &arcs);
+            check_all_pairs(&g, &tiny_budget());
+            let idx = Index::build_with_config(&g, &tiny_budget());
+            assert_eq!(idx.tier(), SummaryTier::Intervals);
+            let k = idx.num_components();
+            for (cu, cv) in (0..k).flat_map(|cu| (0..k).map(move |cv| (cu, cv))) {
+                match idx.comp_reaches_explained(cu, cv).1 {
+                    QueryTier::IntervalRefute => refuted += 1,
+                    QueryTier::PrunedDfs => searched += 1,
+                    _ => {}
+                }
+            }
         }
+        assert!(refuted > 0, "the interval labels never refuted a pair");
+        assert!(searched > 0, "no query reached the pruned DFS");
     }
 
     #[test]
@@ -899,8 +889,9 @@ mod tests {
             // Insert 2 -> 3 (components are vertex-labeled singletons here,
             // so comp arcs mirror vertex arcs).
             let arcs = vec![(idx.comp(2), idx.comp(3))];
-            let patched = idx.splice_dag_arcs(&arcs, &[(2, 3)], &[], &cfg);
+            let patched = idx.splice_dag_arcs(&arcs, &[(2, 3)], &[]);
             let merged = g.with_delta(&[(2, 3)], &[]);
+            assert_same_shape(&patched, &merged, &cfg);
             for u in 0..6 {
                 for v in 0..6 {
                     assert_eq!(patched.reaches(u, v), bfs_reaches(&merged, u, v), "({u}, {v})");
@@ -916,7 +907,7 @@ mod tests {
         let g = DiGraph::from_edges(4, &[(0, 1), (1, 2)]);
         let cfg = label_forcing();
         let idx = Index::build_with_config(&g, &cfg);
-        let spliced = idx.splice_dag_arcs(&[(idx.comp(2), idx.comp(3))], &[(2, 3)], &[], &cfg);
+        let spliced = idx.splice_dag_arcs(&[(idx.comp(2), idx.comp(3))], &[(2, 3)], &[]);
         assert!(Arc::ptr_eq(&idx.scc, &spliced.scc));
         let dead = [(spliced.comp(0), spliced.comp(1))];
         let unspliced = spliced.unsplice_dag_arcs(&dead, &[(0, 1)], &cfg);
@@ -960,6 +951,7 @@ mod tests {
             let patched = idx.unsplice_dag_arcs(&dead, &[(1, 2)], &cfg);
             assert_eq!(patched.stats().latent_arcs, 0, "latent pairs drain on unsplice");
             let merged = with_shortcut.with_delta(&[], &[(1, 2)]);
+            assert_same_shape(&patched, &merged, &cfg);
             for u in 0..3 {
                 for v in 0..3 {
                     assert_eq!(patched.reaches(u, v), bfs_reaches(&merged, u, v), "({u}, {v})");
@@ -991,6 +983,7 @@ mod tests {
             let patched = idx.unsplice_dag_arcs(&dead, &del, &cfg);
             assert_eq!(patched.stats().latent_arcs, 0);
             let merged = g.with_delta(&[(2, 4)], &del);
+            assert_same_shape(&patched, &merged, &cfg);
             for u in 0..5 {
                 for v in 0..5 {
                     let want = bfs_reaches(&merged, u, v);
@@ -1070,6 +1063,7 @@ mod tests {
             let merged = g.with_delta(&[], &[(2, 3)]);
             let patched =
                 idx.split_sccs(&merged, &[c], &[], &[(2, 3)], &cfg).expect("the cycle splits");
+            assert_same_shape(&patched, &merged, &cfg);
             assert_eq!(patched.num_components(), 4);
             assert_eq!(patched.comp(1), patched.comp(3));
             assert_eq!(patched.comp(1), patched.comp(4));
@@ -1098,6 +1092,7 @@ mod tests {
             assert_eq!(patched.num_components(), 4);
             assert_eq!(patched.comp(1), patched.comp(3));
             let merged = g.with_delta(&[(3, 1)], &[]);
+            assert_same_shape(&patched, &merged, &cfg);
             for u in 0..6 {
                 for v in 0..6 {
                     assert_eq!(patched.reaches(u, v), bfs_reaches(&merged, u, v), "({u}, {v})");

@@ -9,7 +9,7 @@
 //! | [`SccLayer`] | BGSS SCC over the graph | [`SccLayer::remapped`] — merge components through an old→new id map |
 //! | condensation DAG | `condense_scc` over all edges | `DiGraph::with_delta` arc splice/unsplice, or contraction of the *old DAG* (never the graph) |
 //! | [`LevelLayer`] | sweep in topological order | [`LevelLayer::splice`] — worklist relaxation from new arcs; [`LevelLayer::unsplice`] — exact recompute from changed-arc targets |
-//! | [`SummaryLayer`] | bitsets, 2-hop hub labels ([`LabelLayer::build`]: one sequential flat pass, hubs by a counting sort on degree, pruning by a mark array over ranks), or interval labels | [`SummaryLayer::splice_arcs`] — bitsets/intervals recompute/widen only the ancestors of the new arcs' sources (hub labels: extend coverage over each new arc's `anc × desc` region, both walks of every arc on one [`Walker`]); [`SummaryLayer::unsplice_arcs`] — bitsets/intervals the same over the new DAG's ancestors of every changed arc's source, one walk (sound for arc removal), hub labels relabel from scratch (exact certificates are not over-approximations) |
+//! | [`SummaryLayer`] | picked by the three budgets of [`IndexConfig`]: bitsets within `bitset_budget_bytes`, else 2-hop hub labels from `label_min_components` components within `label_budget_bytes` ([`LabelLayer::build`]: one sequential flat pass, hubs by a counting sort on degree, pruning by a mark array over ranks), else interval labels (constants: [`LABELINGS`] randomized labelings from [`SEED`], exception lists up to [`EXCEPTION_CAP`] descendants) | [`SummaryLayer::splice_arcs`] — bitsets/intervals recompute/widen only the ancestors of the new arcs' sources ([`repair_rows`], [`widen_intervals`]; hub labels: extend coverage over each new arc's `anc × desc` region, both walks of every arc on one [`Walker`]); [`SummaryLayer::unsplice_arcs`] — bitsets/intervals the same over the new DAG's ancestors of every changed arc's source, one walk (sound for arc removal), hub labels relabel from scratch (exact certificates are not over-approximations) |
 //! | [`SupportLayer`] | the condensation's own arc multiplicities (`contract_csr`) | per-edge increments/decrements, [`SupportLayer::realigned`] after an arc splice/unsplice, [`SupportLayer::contracted`] after merges |
 //!
 //! The DAG itself has no wrapper type: `DiGraph` already supports the two
@@ -19,6 +19,7 @@
 //! collects over it comes from one [`Walker`].
 
 use crate::explain::QueryTier;
+use crate::index::IndexConfig;
 use pscc_graph::{contract_csr, merge_rows, splice_values, Csr, DiGraph, V};
 use pscc_runtime::SplitMix64;
 use std::collections::BTreeMap;
@@ -705,49 +706,46 @@ pub(crate) enum SummaryLayer {
     },
 }
 
-/// Build-time knobs of the summary layer (a slice of
-/// [`crate::index::IndexConfig`], so the layer does not depend on the
-/// index module).
-pub(crate) struct SummaryConfig {
-    pub bitset_budget_bytes: usize,
-    /// Byte ceiling for the 2-hop label tier; `0` disables it.
-    pub label_budget_bytes: usize,
-    /// Minimum DAG size (components) before the label tier is considered —
-    /// small DAGs keep the bitset/interval behavior unchanged.
-    pub label_min_components: usize,
-    pub labelings: usize,
-    pub exception_cap: usize,
-    pub seed: u64,
-}
+/// Independent randomized labelings of the interval tier (more labelings
+/// prune more and cost more memory).
+const LABELINGS: usize = 2;
+
+/// Components with at most this many strict descendants carry them as an
+/// exact exception list in the interval tier.
+const EXCEPTION_CAP: usize = 16;
+
+/// Seed of the interval tier's randomized labeling orders.
+const SEED: u64 = 0x5cc_1dec5;
 
 impl SummaryLayer {
-    /// Full build over a condensation DAG. Returns the layer plus its
-    /// byte footprint and exception-list count (for stats).
+    /// Full build over a condensation DAG in topological `order`.
     ///
     /// Tier selection: bitsets whenever they fit the bitset budget (small
     /// DAGs are unchanged); otherwise 2-hop hub labels when the DAG has at
     /// least `label_min_components` components and the pruned labeling
     /// fits the label budget; interval labels as the final fallback.
-    pub fn build(dag: &DiGraph, order: &[V], cfg: &SummaryConfig) -> (SummaryLayer, usize, usize) {
+    pub fn build(dag: &DiGraph, order: &[V], cfg: &IndexConfig) -> SummaryLayer {
         let k = dag.n();
         let words_per_row = k.div_ceil(64);
         let bitset_bytes = k.saturating_mul(words_per_row).saturating_mul(8);
         if bitset_bytes <= cfg.bitset_budget_bytes {
             let rows = build_bitsets(dag, order, words_per_row);
-            return (SummaryLayer::Bitset { words_per_row, rows }, bitset_bytes, 0);
+            return SummaryLayer::Bitset { words_per_row, rows };
         }
         if k >= cfg.label_min_components && cfg.label_budget_bytes > 0 {
             if let Some(labels) = LabelLayer::build(dag, cfg.label_budget_bytes) {
-                let bytes = labels.bytes();
-                return (SummaryLayer::Labels(labels), bytes, 0);
+                return SummaryLayer::Labels(labels);
             }
         }
-        let labelings = build_labelings(dag, order, cfg.labelings.max(1), cfg.seed);
-        let exceptions = build_exceptions(dag, order, cfg.exception_cap);
-        let layer = SummaryLayer::Intervals { labelings, exceptions };
-        let bytes = layer.bytes(k);
-        let exc = layer.exception_count();
-        (layer, bytes, exc)
+        Self::intervals(dag, order)
+    }
+
+    /// The interval tier over a DAG in topological `order`.
+    fn intervals(dag: &DiGraph, order: &[V]) -> SummaryLayer {
+        SummaryLayer::Intervals {
+            labelings: build_labelings(dag, order),
+            exceptions: build_exceptions(dag, order),
+        }
     }
 
     /// Which representation this layer holds.
@@ -839,7 +837,8 @@ impl SummaryLayer {
     ///
     /// * Bitset tier: the rows of the components whose descendant set
     ///   grew, the ancestors in `dag` of the new arcs' sources, are
-    ///   recomputed from their (final) child rows; other rows are untouched.
+    ///   recomputed from their (final) child rows; other rows are untouched
+    ///   ([`repair_rows`]).
     /// * Label tier: exact hub-coverage extension over each new arc's
     ///   `anc × desc` region — see [`LabelLayer::spliced`] (the arcs
     ///   themselves drive the patch; no ancestor set, nothing cloned first).
@@ -849,18 +848,18 @@ impl SummaryLayer {
     ///   unaffected labels; their exception lists are recomputed from
     ///   the child lists and dropped to `None` when they overflow the cap
     ///   (the pruned DFS then simply descends — exactness is preserved
-    ///   because a present list is always recomputed, never stale).
-    pub fn splice_arcs(
-        &self,
-        dag: &DiGraph,
-        new_arcs: &[(V, V)],
-        levels: &[u32],
-        cfg: &SummaryConfig,
-    ) -> SummaryLayer {
-        if let SummaryLayer::Labels(labels) = self {
-            return SummaryLayer::Labels(labels.spliced(dag, new_arcs));
+    ///   because a present list is always recomputed, never stale)
+    ///   ([`widen_intervals`]).
+    pub fn splice_arcs(&self, dag: &DiGraph, new_arcs: &[(V, V)], levels: &[u32]) -> SummaryLayer {
+        match self {
+            SummaryLayer::Bitset { words_per_row, rows } => {
+                repair_rows(*words_per_row, rows, dag, new_arcs, levels)
+            }
+            SummaryLayer::Labels(labels) => SummaryLayer::Labels(labels.spliced(dag, new_arcs)),
+            SummaryLayer::Intervals { labelings, exceptions } => {
+                widen_intervals(labelings, exceptions, dag, new_arcs, levels)
+            }
         }
-        self.recompute_affected(dag, new_arcs, levels, cfg.exception_cap)
     }
 
     /// Partial invalidation after arcs were **removed** (and possibly
@@ -875,8 +874,8 @@ impl SummaryLayer {
     /// them — so it invalidates and relabels from scratch against the new
     /// DAG (still far cheaper than a full index rebuild: SCCs, the DAG,
     /// and levels are all kept). If the relabel overflows the label
-    /// budget, the layer downgrades to the interval tier. Returns the
-    /// repaired layer; only the bitset/interval tiers clone this one.
+    /// budget of `cfg`, the layer downgrades to the interval tier. Returns
+    /// the repaired layer; only the bitset/interval tiers copy this one.
     ///
     /// The components whose descendant set changed are the old DAG's
     /// ancestors of the removed arcs' sources plus the new DAG's ancestors
@@ -893,79 +892,91 @@ impl SummaryLayer {
         dag: &DiGraph,
         changed: &[(V, V)],
         levels: &[u32],
-        cfg: &SummaryConfig,
+        cfg: &IndexConfig,
     ) -> SummaryLayer {
-        if matches!(self, SummaryLayer::Labels(_)) {
-            if let Some(labels) = LabelLayer::build(dag, cfg.label_budget_bytes) {
-                return SummaryLayer::Labels(labels);
-            }
-            // Relabel overflowed the budget (possible when the repair also
-            // spliced latent arcs in): downgrade to the interval tier.
-            // analyze: allow(panic): an index DAG is acyclic by construction
-            let order = pscc_apps::topological_order(dag).expect("index DAG must stay acyclic");
-            return SummaryLayer::Intervals {
-                labelings: build_labelings(dag, &order, cfg.labelings.max(1), cfg.seed),
-                exceptions: build_exceptions(dag, &order, cfg.exception_cap),
-            };
-        }
-        self.recompute_affected(dag, changed, levels, cfg.exception_cap)
-    }
-
-    /// The shared bitset/interval repair pass (see [`Self::splice_arcs`]) on
-    /// a copy: over the ancestors in `dag` of the `arcs`' sources,
-    /// children-first (descending `levels`), so every component is repaired
-    /// after all of its affected out-neighbors. The label tier never
-    /// reaches it.
-    fn recompute_affected(
-        &self,
-        dag: &DiGraph,
-        arcs: &[(V, V)],
-        levels: &[u32],
-        exception_cap: usize,
-    ) -> SummaryLayer {
-        let sources: Vec<V> = arcs.iter().map(|&(s, _)| s).collect();
-        let mut affected = Vec::new();
-        Walker::new(dag.n()).walk(dag.in_csr(), &sources, |c| {
-            affected.push(c);
-            Step::Expand
-        });
-        affected.sort_unstable_by_key(|&c| std::cmp::Reverse(levels[c as usize]));
-        let mut repaired = self.clone();
-        match &mut repaired {
-            SummaryLayer::Labels(_) => {
-                debug_assert!(false, "label tier uses splice/relabel, not affected recompute");
-            }
+        match self {
             SummaryLayer::Bitset { words_per_row, rows } => {
-                let words = *words_per_row;
-                for &c in &affected {
-                    let c = c as usize;
-                    rows[c * words..(c + 1) * words].fill(0);
-                    for &d in dag.out_neighbors(c as V) {
-                        let d = d as usize;
-                        or_row(rows, words, c, d);
-                        rows[c * words + d / 64] |= 1u64 << (d % 64);
-                    }
-                }
+                repair_rows(*words_per_row, rows, dag, changed, levels)
             }
-            SummaryLayer::Intervals { labelings, exceptions } => {
-                for &c in &affected {
-                    let c = c as usize;
-                    for l in labelings.iter_mut() {
-                        for &d in dag.out_neighbors(c as V) {
-                            let d = d as usize;
-                            l.low[c] = l.low[c].min(l.low[d]);
-                            l.rank[c] = l.rank[c].max(l.rank[d]);
-                        }
-                    }
-                    if exceptions[c].is_some() {
-                        exceptions[c] =
-                            merge_child_exceptions(dag, exceptions, c as V, exception_cap);
-                    }
+            SummaryLayer::Labels(_) => match LabelLayer::build(dag, cfg.label_budget_bytes) {
+                Some(labels) => SummaryLayer::Labels(labels),
+                // Relabel overflowed the budget (possible when the repair
+                // also spliced latent arcs in): downgrade to the interval
+                // tier.
+                None => {
+                    let order = pscc_apps::topological_order(dag);
+                    // analyze: allow(panic): an index DAG is acyclic by construction
+                    Self::intervals(dag, &order.expect("index DAG must stay acyclic"))
                 }
+            },
+            SummaryLayer::Intervals { labelings, exceptions } => {
+                widen_intervals(labelings, exceptions, dag, changed, levels)
             }
         }
-        repaired
     }
+}
+
+/// The components whose descendant set an arc repair may have changed:
+/// the ancestors in `dag` of the `arcs`' sources, children first
+/// (descending `levels`), so each is repaired after all of its affected
+/// out-neighbors.
+fn affected_children_first(dag: &DiGraph, arcs: &[(V, V)], levels: &[u32]) -> Vec<V> {
+    let sources: Vec<V> = arcs.iter().map(|&(s, _)| s).collect();
+    let mut affected = Vec::new();
+    Walker::new(dag.n()).walk(dag.in_csr(), &sources, |c| {
+        affected.push(c);
+        Step::Expand
+    });
+    affected.sort_unstable_by_key(|&c| std::cmp::Reverse(levels[c as usize]));
+    affected
+}
+
+/// The bitset tier's arc repair (see [`SummaryLayer::splice_arcs`]): a
+/// copy of `rows` with every affected row recomputed from its children.
+fn repair_rows(
+    words: usize,
+    rows: &[u64],
+    dag: &DiGraph,
+    arcs: &[(V, V)],
+    levels: &[u32],
+) -> SummaryLayer {
+    let mut rows = rows.to_vec();
+    for c in affected_children_first(dag, arcs, levels) {
+        let c = c as usize;
+        rows[c * words..(c + 1) * words].fill(0);
+        for &d in dag.out_neighbors(c as V) {
+            let d = d as usize;
+            or_row(&mut rows, words, c, d);
+            rows[c * words + d / 64] |= 1u64 << (d % 64);
+        }
+    }
+    SummaryLayer::Bitset { words_per_row: words, rows }
+}
+
+/// The interval tier's arc repair (see [`SummaryLayer::splice_arcs`]): a
+/// copy with every affected component's intervals widened over its
+/// children and its exception list, if it has one, recomputed.
+fn widen_intervals(
+    labelings: &[IntervalLabeling],
+    exceptions: &[Option<Box<[V]>>],
+    dag: &DiGraph,
+    arcs: &[(V, V)],
+    levels: &[u32],
+) -> SummaryLayer {
+    let (mut labelings, mut exceptions) = (labelings.to_vec(), exceptions.to_vec());
+    for c in affected_children_first(dag, arcs, levels) {
+        for l in labelings.iter_mut() {
+            for &d in dag.out_neighbors(c) {
+                let (c, d) = (c as usize, d as usize);
+                l.low[c] = l.low[c].min(l.low[d]);
+                l.rank[c] = l.rank[c].max(l.rank[d]);
+            }
+        }
+        if exceptions[c as usize].is_some() {
+            exceptions[c as usize] = merge_child_exceptions(dag, &exceptions, c);
+        }
+    }
+    SummaryLayer::Intervals { labelings, exceptions }
 }
 
 /// Interval- and level-pruned DFS over the condensation DAG; the slow
@@ -1042,14 +1053,14 @@ fn or_row(rows: &mut [u64], words: usize, dst: usize, src: usize) {
     }
 }
 
-/// `count` randomized GRAIL labelings. Each is a DFS over the DAG from its
-/// source components with a per-labeling pseudo-random neighbour order;
-/// `rank` is the post-order number, `low` the minimum rank seen in the
-/// DFS-reachable set, computed in reverse topological order.
-fn build_labelings(dag: &DiGraph, order: &[V], count: usize, seed: u64) -> Vec<IntervalLabeling> {
-    (0..count)
+/// [`LABELINGS`] randomized GRAIL labelings. Each is a DFS over the DAG
+/// from its source components with a per-labeling pseudo-random neighbour
+/// order; `rank` is the post-order number, `low` the minimum rank seen in
+/// the DFS-reachable set, computed in reverse topological order.
+fn build_labelings(dag: &DiGraph, order: &[V]) -> Vec<IntervalLabeling> {
+    (0..LABELINGS)
         .map(|li| {
-            let mut rng = SplitMix64::new(seed ^ (li as u64).wrapping_mul(0x9e37_79b9));
+            let mut rng = SplitMix64::new(SEED ^ (li as u64).wrapping_mul(0x9e37_79b9));
             let rank = random_postorder(dag, &mut rng);
             // low[c] = min(rank[c], min over out-neighbours of low[d]),
             // processed in reverse topological order so neighbours are done.
@@ -1127,37 +1138,26 @@ fn shuffle(v: &mut [V], rng: &mut SplitMix64) {
     }
 }
 
-/// Exact strict-descendant lists for components with at most `cap`
-/// descendants, built bottom-up in reverse topological order (a component
-/// overflows if any child overflows or the merged set exceeds `cap`).
-fn build_exceptions(dag: &DiGraph, order: &[V], cap: usize) -> Vec<Option<Box<[V]>>> {
-    let k = dag.n();
-    let mut out: Vec<Option<Box<[V]>>> = vec![None; k];
-    if cap == 0 {
-        return out;
-    }
+/// Exact strict-descendant lists for components with at most
+/// [`EXCEPTION_CAP`] descendants, built bottom-up in reverse topological
+/// order (a component overflows if any child overflows or the merged set
+/// exceeds the cap).
+fn build_exceptions(dag: &DiGraph, order: &[V]) -> Vec<Option<Box<[V]>>> {
+    let mut out: Vec<Option<Box<[V]>>> = vec![None; dag.n()];
     for &c in order.iter().rev() {
-        out[c as usize] = merge_child_exceptions(dag, &out, c, cap);
+        out[c as usize] = merge_child_exceptions(dag, &out, c);
     }
     out
 }
 
 /// The exact strict-descendant list of `c` merged from its children's
 /// (final) lists: `∪ {d} ∪ descendants(d)` over out-neighbors `d`; `None`
-/// if any child overflowed or the union exceeds `cap`.
-fn merge_child_exceptions(
-    dag: &DiGraph,
-    lists: &[Option<Box<[V]>>],
-    c: V,
-    cap: usize,
-) -> Option<Box<[V]>> {
-    if cap == 0 {
-        return None;
-    }
+/// if any child overflowed or the union exceeds [`EXCEPTION_CAP`].
+fn merge_child_exceptions(dag: &DiGraph, lists: &[Option<Box<[V]>>], c: V) -> Option<Box<[V]>> {
     let mut set: Vec<V> = Vec::new();
     for &d in dag.out_neighbors(c) {
         match &lists[d as usize] {
-            Some(desc) if set.len() + desc.len() < 2 * cap + 2 => {
+            Some(desc) if set.len() + desc.len() < 2 * EXCEPTION_CAP + 2 => {
                 set.push(d);
                 set.extend_from_slice(desc);
             }
@@ -1166,7 +1166,7 @@ fn merge_child_exceptions(
     }
     set.sort_unstable();
     set.dedup();
-    if set.len() <= cap {
+    if set.len() <= EXCEPTION_CAP {
         Some(set.into_boxed_slice())
     } else {
         None
@@ -1323,14 +1323,11 @@ mod tests {
     }
 
     /// One forcing config per summary tier, for the three-way test loops.
-    fn tier_configs() -> [(SummaryTier, SummaryConfig); 3] {
-        let base = |bitset, label| SummaryConfig {
+    fn tier_configs() -> [(SummaryTier, IndexConfig); 3] {
+        let base = |bitset, label| IndexConfig {
             bitset_budget_bytes: bitset,
             label_budget_bytes: label,
             label_min_components: 0,
-            labelings: 2,
-            exception_cap: 4,
-            seed: 7,
         };
         [
             (SummaryTier::Bitset, base(usize::MAX, 0)),
@@ -1392,11 +1389,11 @@ mod tests {
             levels.splice(&spliced, &new_arcs);
 
             for (tier, cfg) in tier_configs() {
-                let (summary, _, _) = SummaryLayer::build(&dag, &order, &cfg);
+                let summary = SummaryLayer::build(&dag, &order, &cfg);
                 assert_eq!(summary.tier(), tier, "seed {seed}: forcing config picked wrong tier");
-                let summary = summary.splice_arcs(&spliced, &new_arcs, &levels.levels, &cfg);
+                let summary = summary.splice_arcs(&spliced, &new_arcs, &levels.levels);
 
-                let (want, _, _) = SummaryLayer::build(&spliced, &sorder, &cfg);
+                let want = SummaryLayer::build(&spliced, &sorder, &cfg);
                 for cu in 0..40usize {
                     for cv in 0..40usize {
                         if cu == cv || levels.levels[cu] >= levels.levels[cv] {
@@ -1432,11 +1429,11 @@ mod tests {
             levels.unsplice(&shrunk, &dead);
 
             for (tier, cfg) in tier_configs() {
-                let (summary, _, _) = SummaryLayer::build(&dag, &order, &cfg);
+                let summary = SummaryLayer::build(&dag, &order, &cfg);
                 assert_eq!(summary.tier(), tier);
                 let summary = summary.unsplice_arcs(&shrunk, &dead, &levels.levels, &cfg);
 
-                let (want, _, _) = SummaryLayer::build(&shrunk, &sorder, &cfg);
+                let want = SummaryLayer::build(&shrunk, &sorder, &cfg);
                 for cu in 0..40usize {
                     for cv in 0..40usize {
                         if cu == cv || levels.levels[cu] >= levels.levels[cv] {

@@ -35,8 +35,12 @@
 //!   into the graph in parallel (`DiGraph::with_delta`), and repaired
 //!   *incrementally* by the cheapest provably correct tier of the
 //!   [`planner`]; the full rebuild is left for mixed structural deltas and
-//!   repairs past the [`RepairBudget`]. Which tier ran comes back in the
+//!   repairs past the planner's fixed bounds (128 new or dead arcs, a
+//!   quarter of the index). Which tier ran comes back in the
 //!   [`DeltaReport`].
+//!
+//! [`IndexConfig`] holds the index's only settings, the three budgets that
+//! pick its summary tier; the SCC kernel runs at `SccConfig::default()`.
 //!
 //! ```
 //! use pscc_engine::{Catalog, Index, QueryBatch};
@@ -72,5 +76,5 @@ pub use catalog::{BatchSubmitter, Catalog, CompactionPolicy};
 pub use delta::{Delta, DeltaError, DeltaOutcome, DeltaReport};
 pub use explain::{PlanExplain, QueryExplain, QueryTier};
 pub use index::{Index, IndexConfig, IndexStats, SummaryTier};
-pub use planner::{plan_repair_explained, RebuildReason, RepairBudget, RepairPlan};
+pub use planner::{plan_repair_explained, RebuildReason, RepairPlan};
 pub use pscc_telemetry as telemetry;

@@ -71,12 +71,13 @@
 //!    holds together leaves the index untouched). The graph is never
 //!    re-traversed beyond the affected members' adjacency.
 //! 7. **Cost-bounded fallback** ([`RepairPlan::FullRebuild`]) — deltas
-//!    mixing structural deletions with insertions, deltas with more
-//!    distinct new/dead arcs than the
-//!    planner budget, and merge regions or split components past
-//!    [`RepairBudget::max_region`] all fall back to the catalog's
-//!    off-lock full rebuild: past that size, a localized repair would not
-//!    beat rebuilding.
+//!    mixing structural deletions with insertions, deltas with more than
+//!    128 distinct new (or dead) arcs, merge regions of more than
+//!    `max(k / 4, 32)` of the `k` components, and split checks over more
+//!    than `max(n / 4, 32)` of the `n` vertices all fall back to the
+//!    catalog's off-lock full rebuild: past that size, a localized repair
+//!    would not beat rebuilding. These bounds are constants of this
+//!    module, not settings.
 //!
 //! ## The supergraph cycle test
 //!
@@ -89,9 +90,10 @@
 //! supergraph cycle expands into a real cycle (a cycle of only `⇝`-edges
 //! is impossible because `D` is acyclic). So `D ∪ A` is cyclic iff the
 //! supergraph is, and an arc of `A` participates in a cycle iff its
-//! endpoints share a supergraph SCC. The supergraph has at most
-//! `2·|A| ≤ 2·`[`RepairBudget::max_planned_arcs`] nodes, so running the
-//! workspace SCC algorithm on it is trivially cheap.
+//! endpoints share a supergraph SCC. A plan reaches this test only with
+//! `|A| ≤ 128`, so the supergraph has at most 256 nodes and takes at most
+//! 256² index queries: running the workspace SCC algorithm on it is
+//! trivially cheap.
 
 use crate::explain::PlanExplain;
 use crate::index::Index;
@@ -99,35 +101,17 @@ use crate::layers::{Step, Walker};
 use pscc_core::{parallel_scc, SccConfig};
 use pscc_graph::{DiGraph, V};
 
-/// Cost bounds deciding when a localized repair would not beat the
-/// off-lock full rebuild (tier 4 of the planner, carried by
-/// [`crate::IndexConfig`]).
-#[derive(Clone, Copy, Debug)]
-pub struct RepairBudget {
-    /// Deltas contracting to more distinct new condensation arcs than
-    /// this are priced straight to a full rebuild (bounds the planner's
-    /// own supergraph analysis to `O(max_planned_arcs²)` index queries).
-    pub max_planned_arcs: usize,
-    /// A merge region larger than `region_frac × num_components` falls
-    /// back to a full rebuild.
-    pub region_frac: f64,
-    /// Floor for the region bound, so small graphs still repair locally
-    /// even when `region_frac × num_components` rounds to nothing.
-    pub min_region: usize,
-}
+/// Deltas contracting to more distinct new (or dead) condensation arcs
+/// than this are priced straight to a full rebuild; it bounds the
+/// supergraph analysis to `O(MAX_PLANNED_ARCS²)` index queries.
+const MAX_PLANNED_ARCS: usize = 128;
 
-impl Default for RepairBudget {
-    fn default() -> Self {
-        RepairBudget { max_planned_arcs: 128, region_frac: 0.25, min_region: 32 }
-    }
-}
-
-impl RepairBudget {
-    /// The largest merge region (in components, out of `k`) the planner
-    /// will repair in place.
-    pub fn max_region(&self, k: usize) -> usize {
-        ((k as f64 * self.region_frac) as usize).max(self.min_region)
-    }
+/// The largest repair the planner runs in place, out of `size`: a merge
+/// region in components (`size` = the index's components) or a split
+/// check's members in vertices (`size` = its vertices). A quarter of the
+/// index, and never fewer than 32, so small graphs still repair locally.
+fn max_region(size: usize) -> usize {
+    (size / 4).max(32)
 }
 
 /// Why the planner fell back to a full rebuild.
@@ -137,14 +121,14 @@ pub enum RebuildReason {
     /// possible SCC split) with insertions — the deletion tiers are
     /// proven for pure-deletion deltas only.
     Deletion,
-    /// More distinct new (or dead) condensation arcs than
-    /// [`RepairBudget::max_planned_arcs`].
+    /// More than 128 distinct new (or dead) condensation arcs.
     PlannerOverflow,
-    /// The cycle-merge region exceeds [`RepairBudget::max_region`].
+    /// The cycle-merge region holds more than `max(k / 4, 32)` of the
+    /// index's `k` components.
     RegionOverBudget,
-    /// The components an intra-SCC deletion may split hold more vertices
-    /// than [`RepairBudget::max_region`] admits — re-running SCC on them
-    /// would not beat rebuilding.
+    /// The components an intra-SCC deletion may split hold more than
+    /// `max(n / 4, 32)` of the graph's `n` vertices — re-running SCC on
+    /// them would not beat rebuilding.
     SplitOverBudget,
 }
 
@@ -220,13 +204,8 @@ impl RepairPlan {
 /// `ins`/`del` must already be reduced against the graph: insertions of
 /// absent edges and deletions of present ones only (the catalog's
 /// effective-delta computation guarantees this).
-pub fn plan_repair(
-    index: &Index,
-    ins: &[(V, V)],
-    del: &[(V, V)],
-    budget: &RepairBudget,
-) -> RepairPlan {
-    plan_repair_explained(index, ins, del, budget).0
+pub fn plan_repair(index: &Index, ins: &[(V, V)], del: &[(V, V)]) -> RepairPlan {
+    plan_repair_explained(index, ins, del).0
 }
 
 /// [`plan_repair`] with provenance: the plan plus a [`PlanExplain`]
@@ -238,18 +217,16 @@ pub fn plan_repair_explained(
     index: &Index,
     ins: &[(V, V)],
     del: &[(V, V)],
-    budget: &RepairBudget,
 ) -> (RepairPlan, PlanExplain) {
     let mut span = pscc_telemetry::span("plan");
     let mut ex = PlanExplain {
         insertions: ins.len(),
         deletions: del.len(),
         deletion_class: "none",
-        max_planned_arcs: budget.max_planned_arcs,
-        max_region: budget.max_region(index.num_components()),
+        max_region: max_region(index.num_components()),
         ..PlanExplain::default()
     };
-    let plan = plan_repair_inner(index, ins, del, budget, &mut ex);
+    let plan = plan_repair_inner(index, ins, del, &mut ex);
     ex.chosen = plan.tier_name();
     span.set_attr("tier", plan.tier_name());
     (plan, ex)
@@ -259,7 +236,6 @@ fn plan_repair_inner(
     index: &Index,
     ins: &[(V, V)],
     del: &[(V, V)],
-    budget: &RepairBudget,
     ex: &mut PlanExplain,
 ) -> RepairPlan {
     if !del.is_empty() {
@@ -283,15 +259,15 @@ fn plan_repair_inner(
                     ex.reject("scc_split", "structural deletions mixed with insertions");
                     return RepairPlan::FullRebuild { reason: RebuildReason::Deletion };
                 }
-                if dead_arcs.len() > budget.max_planned_arcs {
+                if dead_arcs.len() > MAX_PLANNED_ARCS {
                     ex.reject("arc_unsplice", "more dead arcs than max_planned_arcs");
                     return RepairPlan::FullRebuild { reason: RebuildReason::PlannerOverflow };
                 }
                 if !splits.is_empty() {
                     let vertices: usize = splits.iter().map(|&c| index.component_size(c)).sum();
                     ex.split_vertices = vertices;
-                    ex.max_region = budget.max_region(index.n());
-                    if vertices > budget.max_region(index.n()) {
+                    ex.max_region = max_region(index.n());
+                    if vertices > ex.max_region {
                         ex.reject(
                             "scc_split",
                             "split components hold more vertices than the region budget",
@@ -317,7 +293,7 @@ fn plan_repair_inner(
         return RepairPlan::Absorb;
     }
     ex.reject("absorb", "insertions contract to new condensation arcs");
-    if arcs.len() > budget.max_planned_arcs {
+    if arcs.len() > MAX_PLANNED_ARCS {
         ex.reject("dag_splice", "more new arcs than max_planned_arcs");
         return RepairPlan::FullRebuild { reason: RebuildReason::PlannerOverflow };
     }
@@ -351,7 +327,7 @@ fn plan_repair_inner(
 
     // Merge region: descendants(cycle targets) ∩ ancestors(cycle
     // sources), estimated with early exit once it cannot fit the budget.
-    let cap = budget.max_region(index.num_components());
+    let cap = max_region(index.num_components());
     let targets: Vec<V> = cyclic.iter().map(|&(_, t)| t).collect();
     let sources: Vec<V> = cyclic.iter().map(|&(s, _)| s).collect();
     let Some(region) = bounded_region(index.dag(), &targets, &sources, cap) else {
@@ -469,7 +445,7 @@ mod tests {
     fn absorbable_insertions_plan_absorb() {
         // {0,1} is an SCC; 1 -> 2 -> 3 is a tail.
         let idx = index_of(4, &[(0, 1), (1, 0), (1, 2), (2, 3)]);
-        let plan = plan_repair(&idx, &[(1, 0), (0, 3), (1, 3)], &[], &RepairBudget::default());
+        let plan = plan_repair(&idx, &[(1, 0), (0, 3), (1, 3)], &[]);
         assert_eq!(plan, RepairPlan::Absorb);
     }
 
@@ -478,7 +454,7 @@ mod tests {
         // Deleting (1, 2) kills its arc (support 1); the insertion riding
         // along prices the delta out of the pure-deletion tiers.
         let idx = index_of(3, &[(0, 1), (1, 2)]);
-        let plan = plan_repair(&idx, &[(0, 2)], &[(1, 2)], &RepairBudget::default());
+        let plan = plan_repair(&idx, &[(0, 2)], &[(1, 2)]);
         assert_eq!(plan, RepairPlan::FullRebuild { reason: RebuildReason::Deletion });
     }
 
@@ -486,10 +462,10 @@ mod tests {
     fn parallel_support_deletion_plans_absorb() {
         // Two 2-cycles joined by two parallel supports of one arc.
         let idx = index_of(4, &[(0, 1), (1, 0), (2, 3), (3, 2), (1, 2), (0, 3)]);
-        let plan = plan_repair(&idx, &[], &[(1, 2)], &RepairBudget::default());
+        let plan = plan_repair(&idx, &[], &[(1, 2)]);
         assert_eq!(plan, RepairPlan::Absorb, "a parallel support survives");
         // Deleting both supports at once kills the arc.
-        let plan = plan_repair(&idx, &[], &[(1, 2), (0, 3)], &RepairBudget::default());
+        let plan = plan_repair(&idx, &[], &[(1, 2), (0, 3)]);
         let arcs = vec![(idx.comp(1), idx.comp(2))];
         assert_eq!(plan, RepairPlan::ArcUnsplice { arcs });
     }
@@ -497,14 +473,14 @@ mod tests {
     #[test]
     fn self_loop_deletion_plans_absorb() {
         let idx = index_of(3, &[(0, 0), (0, 1), (1, 2)]);
-        let plan = plan_repair(&idx, &[], &[(0, 0)], &RepairBudget::default());
+        let plan = plan_repair(&idx, &[], &[(0, 0)]);
         assert_eq!(plan, RepairPlan::Absorb);
     }
 
     #[test]
     fn last_support_deletion_plans_unsplice() {
         let idx = index_of(3, &[(0, 1), (1, 2)]);
-        let plan = plan_repair(&idx, &[], &[(1, 2)], &RepairBudget::default());
+        let plan = plan_repair(&idx, &[], &[(1, 2)]);
         assert_eq!(plan, RepairPlan::ArcUnsplice { arcs: vec![(idx.comp(1), idx.comp(2))] });
     }
 
@@ -515,7 +491,7 @@ mod tests {
         // through 1 still witnesses 0 ⇝ 2.
         let idx = index_of(3, &[(0, 1), (1, 2)]);
         idx.note_absorbed(&[(0, 2)], &[]);
-        let plan = plan_repair(&idx, &[], &[(0, 2)], &RepairBudget::default());
+        let plan = plan_repair(&idx, &[], &[(0, 2)]);
         assert_eq!(plan, RepairPlan::Absorb);
     }
 
@@ -524,7 +500,7 @@ mod tests {
         // A 3-cycle feeding a tail; deleting a cycle edge needs the
         // split check over the cycle's component only.
         let idx = index_of(4, &[(0, 1), (1, 2), (2, 0), (2, 3)]);
-        let plan = plan_repair(&idx, &[], &[(1, 2)], &RepairBudget::default());
+        let plan = plan_repair(&idx, &[], &[(1, 2)]);
         assert_eq!(plan, RepairPlan::SccSplit { comps: vec![idx.comp(1)], dead_arcs: vec![] });
     }
 
@@ -532,7 +508,7 @@ mod tests {
     fn split_and_dead_arc_combine_into_one_split_plan() {
         // Deleting a cycle edge *and* the tail arc in one delta.
         let idx = index_of(4, &[(0, 1), (1, 2), (2, 0), (2, 3)]);
-        let plan = plan_repair(&idx, &[], &[(1, 2), (2, 3)], &RepairBudget::default());
+        let plan = plan_repair(&idx, &[], &[(1, 2), (2, 3)]);
         assert_eq!(
             plan,
             RepairPlan::SccSplit {
@@ -545,13 +521,13 @@ mod tests {
     #[test]
     fn oversized_split_component_falls_back() {
         use pscc_graph::generators::simple::cycle_digraph;
+        // 200 vertices in one component: past max(200 / 4, 32) = 50.
         let idx = Index::build(&cycle_digraph(200));
-        let tight = RepairBudget { region_frac: 0.1, min_region: 4, ..RepairBudget::default() };
-        let plan = plan_repair(&idx, &[], &[(5, 6)], &tight);
+        let plan = plan_repair(&idx, &[], &[(5, 6)]);
         assert_eq!(plan, RepairPlan::FullRebuild { reason: RebuildReason::SplitOverBudget });
-        // A budget admitting the whole component runs the split check.
-        let roomy = RepairBudget { min_region: 256, ..RepairBudget::default() };
-        let plan = plan_repair(&idx, &[], &[(5, 6)], &roomy);
+        // A 32-cycle sits exactly at the floor: the split check runs.
+        let idx = Index::build(&cycle_digraph(32));
+        let plan = plan_repair(&idx, &[], &[(5, 6)]);
         assert_eq!(plan, RepairPlan::SccSplit { comps: vec![idx.comp(5)], dead_arcs: vec![] });
     }
 
@@ -564,9 +540,9 @@ mod tests {
         let cond = pscc_apps::condense(&g, &scc.labels);
         let idx = Index::from_condensation(cond, &crate::IndexConfig::default());
         assert_eq!(idx.stats().supported_pairs, 2);
-        let plan = plan_repair(&idx, &[], &[(0, 2)], &RepairBudget::default());
+        let plan = plan_repair(&idx, &[], &[(0, 2)]);
         assert_eq!(plan, RepairPlan::Absorb, "a parallel support survives");
-        let plan = plan_repair(&idx, &[], &[(2, 3)], &RepairBudget::default());
+        let plan = plan_repair(&idx, &[], &[(2, 3)]);
         assert_eq!(plan, RepairPlan::ArcUnsplice { arcs: vec![(idx.comp(2), idx.comp(3))] });
     }
 
@@ -574,7 +550,7 @@ mod tests {
     fn cross_component_forward_edge_plans_splice() {
         // Two disconnected paths: 0 -> 1 and 2 -> 3.
         let idx = index_of(4, &[(0, 1), (2, 3)]);
-        let plan = plan_repair(&idx, &[(1, 2)], &[], &RepairBudget::default());
+        let plan = plan_repair(&idx, &[(1, 2)], &[]);
         let arcs = vec![(idx.comp(1), idx.comp(2))];
         assert_eq!(plan, RepairPlan::DagSplice { arcs });
     }
@@ -583,7 +559,7 @@ mod tests {
     fn back_edge_plans_region_recompute_over_the_path() {
         // 0 -> 1 -> 2 -> 3 -> 4; inserting 3 -> 1 merges {1, 2, 3}.
         let idx = index_of(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
-        let plan = plan_repair(&idx, &[(3, 1)], &[], &RepairBudget::default());
+        let plan = plan_repair(&idx, &[(3, 1)], &[]);
         match plan {
             RepairPlan::RegionRecompute { region, arcs } => {
                 let mut want: Vec<u32> = vec![idx.comp(1), idx.comp(2), idx.comp(3)];
@@ -601,7 +577,7 @@ mod tests {
         // individually acyclic but jointly closes a cycle through all
         // four components — the supergraph test must catch it.
         let idx = index_of(4, &[(0, 1), (2, 3)]);
-        let plan = plan_repair(&idx, &[(1, 2), (3, 0)], &[], &RepairBudget::default());
+        let plan = plan_repair(&idx, &[(1, 2), (3, 0)], &[]);
         match plan {
             RepairPlan::RegionRecompute { region, .. } => {
                 let mut want: Vec<u32> = (0..4).map(|v| idx.comp(v)).collect();
@@ -612,31 +588,48 @@ mod tests {
         }
     }
 
+    /// The pairs `(2i, 2i + 1)` for `i < count`: distinct condensation
+    /// arcs between singleton components.
+    fn disjoint_pairs(count: usize) -> Vec<(V, V)> {
+        (0..count as V).map(|i| (2 * i, 2 * i + 1)).collect()
+    }
+
     #[test]
     fn oversized_arc_sets_fall_back() {
-        let edges: Vec<(V, V)> = (0..40).map(|i| (i, i + 1)).collect();
-        let idx = index_of(41, &edges);
-        // Every (even, odd) pair going backward is a distinct new arc.
-        let ins: Vec<(V, V)> = (0..20).map(|i| (40 - i, i)).collect();
-        let tight = RepairBudget { max_planned_arcs: 3, ..RepairBudget::default() };
-        let plan = plan_repair(&idx, &ins, &[], &tight);
+        // 129 new arcs between isolated vertices overflow the planner; 128
+        // splice in place.
+        let idx = index_of(258, &[]);
+        let plan = plan_repair(&idx, &disjoint_pairs(129), &[]);
         assert_eq!(plan, RepairPlan::FullRebuild { reason: RebuildReason::PlannerOverflow });
+        let plan = plan_repair(&idx, &disjoint_pairs(128), &[]);
+        assert!(matches!(plan, RepairPlan::DagSplice { ref arcs } if arcs.len() == 128));
+        // The same bound on dead arcs: deleting 129 lone supports
+        // overflows, 128 unsplice in place.
+        let idx = index_of(258, &disjoint_pairs(129));
+        let plan = plan_repair(&idx, &[], &disjoint_pairs(129));
+        assert_eq!(plan, RepairPlan::FullRebuild { reason: RebuildReason::PlannerOverflow });
+        let plan = plan_repair(&idx, &[], &disjoint_pairs(128));
+        assert!(matches!(plan, RepairPlan::ArcUnsplice { ref arcs } if arcs.len() == 128));
+    }
+
+    /// A path of `n` components closed end to end by the back edge
+    /// `(n - 1, 0)`: the whole path is the merge region.
+    fn closed_path(n: usize) -> (Index, (V, V)) {
+        let edges: Vec<(V, V)> = (0..n as V - 1).map(|i| (i, i + 1)).collect();
+        (index_of(n, &edges), (n as V - 1, 0))
     }
 
     #[test]
     fn oversized_region_falls_back() {
-        // A long path; a back edge from the end to the start makes the
-        // whole path the region.
-        let edges: Vec<(V, V)> = (0..99).map(|i| (i, i + 1)).collect();
-        let idx = index_of(100, &edges);
-        let tight = RepairBudget { region_frac: 0.1, min_region: 4, ..RepairBudget::default() };
-        let plan = plan_repair(&idx, &[(99, 0)], &[], &tight);
+        // 100 components: past max(100 / 4, 32) = 32.
+        let (idx, back) = closed_path(100);
+        let plan = plan_repair(&idx, &[back], &[]);
         assert_eq!(plan, RepairPlan::FullRebuild { reason: RebuildReason::RegionOverBudget });
-        // A budget that admits the whole path repairs it in place.
-        let roomy = RepairBudget { min_region: 128, ..RepairBudget::default() };
-        let plan = plan_repair(&idx, &[(99, 0)], &[], &roomy);
+        // 32 components sit exactly at the floor: repaired in place.
+        let (idx, back) = closed_path(32);
+        let plan = plan_repair(&idx, &[back], &[]);
         assert!(
-            matches!(plan, RepairPlan::RegionRecompute { ref region, .. } if region.len() == 100)
+            matches!(plan, RepairPlan::RegionRecompute { ref region, .. } if region.len() == 32)
         );
     }
 
@@ -646,7 +639,7 @@ mod tests {
         // so the planner must reject absorb and dag_splice on the way to
         // region_recompute.
         let idx = index_of(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
-        let (plan, ex) = plan_repair_explained(&idx, &[(3, 1)], &[], &RepairBudget::default());
+        let (plan, ex) = plan_repair_explained(&idx, &[(3, 1)], &[]);
         assert_eq!(ex.chosen, plan.tier_name());
         assert_eq!(ex.chosen, "region_recompute");
         assert_eq!(ex.insertions, 1);
@@ -667,20 +660,24 @@ mod tests {
     fn explain_classifies_deletions_and_budget_price_outs() {
         // A structural deletion (last support of the 1 -> 2 arc).
         let idx = index_of(3, &[(0, 1), (1, 2)]);
-        let (plan, ex) = plan_repair_explained(&idx, &[], &[(1, 2)], &RepairBudget::default());
+        let (plan, ex) = plan_repair_explained(&idx, &[], &[(1, 2)]);
         assert_eq!(plan, RepairPlan::ArcUnsplice { arcs: vec![(idx.comp(1), idx.comp(2))] });
         assert_eq!(ex.deletion_class, "structural");
         assert_eq!(ex.dead_arcs, 1);
         assert_eq!(ex.split_comps, 0);
         // An over-budget merge region prices region_recompute out.
-        let edges: Vec<(V, V)> = (0..99).map(|i| (i, i + 1)).collect();
-        let long = index_of(100, &edges);
-        let tight = RepairBudget { region_frac: 0.1, min_region: 4, ..RepairBudget::default() };
-        let (plan, ex) = plan_repair_explained(&long, &[(99, 0)], &[], &tight);
+        let (long, back) = closed_path(100);
+        let (plan, ex) = plan_repair_explained(&long, &[back], &[]);
         assert_eq!(plan, RepairPlan::FullRebuild { reason: RebuildReason::RegionOverBudget });
         assert_eq!(ex.chosen, "full_rebuild");
+        assert_eq!(ex.max_region, 32, "max(100 / 4, 32) components");
         assert_eq!(ex.region_size, 0);
         assert!(ex.rejected.iter().any(|&(t, _)| t == "region_recompute"), "{:?}", ex.rejected);
+        // A split check prices its members in vertices, not components.
+        let ring = Index::build(&pscc_graph::generators::simple::cycle_digraph(200));
+        let (plan, ex) = plan_repair_explained(&ring, &[], &[(5, 6)]);
+        assert_eq!(plan, RepairPlan::FullRebuild { reason: RebuildReason::SplitOverBudget });
+        assert_eq!((ex.split_vertices, ex.max_region), (200, 50), "max(200 / 4, 32) vertices");
     }
 
     #[test]
@@ -689,7 +686,7 @@ mod tests {
         let idx = index_of(4, &[(0, 1), (1, 0), (1, 2), (2, 3)]);
         // A back edge merges components: not absorbable, and one bad edge
         // taints the whole batch out of the absorb tier.
-        let plan = plan_repair(&idx, &[(0, 3), (3, 0)], &[], &RepairBudget::default());
+        let plan = plan_repair(&idx, &[(0, 3), (3, 0)], &[]);
         assert!(!matches!(plan, RepairPlan::Absorb), "got {plan:?}");
     }
 }

@@ -268,7 +268,7 @@ fn index_build_after_the_kernel_allocates_in_proportion_to_the_dag() {
         // the build needs after the kernel is that wide.
         WIDE_BYTES.store(16 * m_dag, Ordering::Relaxed);
         let (kernel_bytes, kernel_wide, kernel_calls, _) =
-            allocated_by(|| parallel_scc(&g, &cfg.scc));
+            allocated_by(|| parallel_scc(&g, &SccConfig::default()));
         let (build_bytes, build_wide, build_calls, _) =
             allocated_by(|| ReachIndex::build_with_config(&g, &cfg));
 

@@ -22,9 +22,7 @@
 //! tiered path (this test is also wired into CI's persistence-smoke
 //! job).
 
-use parallel_scc::engine::{
-    BatchOptions, Delta, DeltaOutcome, IndexConfig as EngineIndexConfig, RepairBudget,
-};
+use parallel_scc::engine::{BatchOptions, Delta, DeltaOutcome, IndexConfig as EngineIndexConfig};
 use parallel_scc::prelude::*;
 use pscc_runtime::SplitMix64;
 use std::collections::BTreeSet;
@@ -88,10 +86,6 @@ fn random_mixed_sequences_cover_all_deletion_tiers() {
         let mut cfg = EngineIndexConfig::default();
         if seed % 2 == 1 {
             cfg.bitset_budget_bytes = 0; // interval tier
-        }
-        if seed % 4 == 3 {
-            // A tiny budget forces SplitOverBudget rebuilds on big SCCs.
-            cfg.repair = RepairBudget { region_frac: 0.05, min_region: 2, max_planned_arcs: 128 };
         }
         let catalog = Catalog::new();
         catalog.insert_with_config("g", g, cfg, BatchOptions::default());
@@ -306,23 +300,17 @@ mod fuzz {
             graph_spec in arb_graph(),
             seq in arb_deltas(),
             interval_tier in any::<bool>(),
-            tight_budget in any::<bool>(),
         ) {
             let (n, base) = graph_spec;
             let base: Vec<(V, V)> = base.into_iter()
                 .map(|(u, v)| (u % n as V, v % n as V)).collect();
             let g = DiGraph::from_edges(n, &base);
             let mut edges: BTreeSet<(V, V)> = g.out_csr().edges().collect();
-            let mut cfg = if interval_tier {
+            let cfg = if interval_tier {
                 EngineIndexConfig { bitset_budget_bytes: 0, ..EngineIndexConfig::default() }
             } else {
                 EngineIndexConfig::default()
             };
-            if tight_budget {
-                cfg.repair = RepairBudget {
-                    region_frac: 0.1, min_region: 2, max_planned_arcs: 4,
-                };
-            }
             let catalog = Catalog::new();
             catalog.insert_with_config("g", g, cfg, BatchOptions::default());
             let _ = catalog.index("g").unwrap();

@@ -5,9 +5,7 @@
 //! the run must exercise every tier at least once, so none of them is
 //! silently unreachable.
 
-use parallel_scc::engine::{
-    BatchOptions, Delta, DeltaOutcome, IndexConfig as EngineIndexConfig, RepairBudget,
-};
+use parallel_scc::engine::{BatchOptions, Delta, DeltaOutcome, IndexConfig as EngineIndexConfig};
 use parallel_scc::prelude::*;
 use pscc_runtime::SplitMix64;
 use std::collections::BTreeSet;
@@ -105,15 +103,11 @@ fn random_delta_sequences_hit_every_tier_and_match_the_oracle() {
         let g = parallel_scc::graph::generators::random::gnm_digraph(n, n * 2, seed);
         let mut edges: BTreeSet<(V, V)> = g.out_csr().edges().collect();
 
-        // Rotate through summary tiers and repair budgets so every tier
-        // is reachable: tiny bitset budgets force the interval tier, and
-        // a tiny region budget forces merge fallbacks to full rebuilds.
+        // Alternate summary tiers: a zero bitset budget forces the
+        // interval tier.
         let mut cfg = EngineIndexConfig::default();
         if seed % 2 == 1 {
             cfg.bitset_budget_bytes = 0;
-        }
-        if seed % 3 == 2 {
-            cfg.repair = RepairBudget { region_frac: 0.05, min_region: 2, max_planned_arcs: 128 };
         }
         let catalog = Catalog::new();
         catalog.insert_with_config("g", g, cfg, BatchOptions::default());

@@ -102,10 +102,10 @@ fn lelists_exact_under_oversubscription() {
 }
 
 /// An IndexConfig that makes index builds take long enough for another
-/// thread to reliably land work mid-build: force the interval tier (no
-/// bitset shortcut) with many randomized labelings over a large DAG.
-fn slow_build_config(labelings: usize) -> IndexConfig {
-    IndexConfig { bitset_budget_bytes: 0, labelings, exception_cap: 0, ..IndexConfig::default() }
+/// thread to reliably land work mid-build: zero bitset and label budgets
+/// force the interval tier over a large DAG.
+fn slow_build_config() -> IndexConfig {
+    IndexConfig { bitset_budget_bytes: 0, label_budget_bytes: 0, ..IndexConfig::default() }
 }
 
 /// DFS oracle: does `u ⇝ v` hold in `g` once `del` is deleted and `ins`
@@ -147,7 +147,7 @@ fn queries_answered_from_old_index_during_delta_rebuild() {
     cat.insert_with_config(
         "g",
         g,
-        slow_build_config(10),
+        slow_build_config(),
         parallel_scc::engine::BatchOptions::default(),
     );
     let index = cat.index("g").expect("eager first build");
@@ -235,7 +235,7 @@ fn racing_delta_during_off_lock_build_is_detected_not_lost() {
         cat.insert_with_config(
             &name,
             g,
-            slow_build_config(8),
+            slow_build_config(),
             parallel_scc::engine::BatchOptions::default(),
         );
 
